@@ -60,7 +60,7 @@ func setupFor(b *testing.B, w *workloads.Workload) *benchSetup {
 		}
 		switch w.Kind {
 		case workloads.Race:
-			s.ft, s.err = core.NewOptFT(w.Prog(), s.pr.DB)
+			s.ft, s.err = core.NewOptFTStatic(w.Prog(), s.pr.DB, nil, core.StaticConfig{Workers: 1})
 			if s.err != nil {
 				return
 			}
@@ -71,11 +71,11 @@ func setupFor(b *testing.B, w *workloads.Workload) *benchSetup {
 			s.err = s.ft.ValidateCustomSync(execs, core.RunOptions{})
 		case workloads.Slice:
 			criterion := lastPrintOf(w)
-			s.sl, s.err = core.NewOptSlice(w.Prog(), s.pr.DB, criterion, benchBudget)
+			s.sl, s.err = core.NewOptSliceStatic(w.Prog(), s.pr.DB, criterion, benchBudget, nil, core.StaticConfig{Workers: 1})
 			if s.err != nil {
 				return
 			}
-			s.hy, s.err = core.NewHybridSlicer(w.Prog(), criterion, benchBudget)
+			s.hy, s.err = core.NewHybridSlicerStatic(w.Prog(), criterion, benchBudget, nil, core.StaticConfig{Workers: 1})
 		}
 	})
 	if s.err != nil {
@@ -217,7 +217,7 @@ func BenchmarkTable1Static(b *testing.B) {
 		w := w
 		b.Run(w.Name+"/sound", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.NewHybridFT(w.Prog()); err != nil {
+				if _, err := core.NewHybridFTStatic(w.Prog(), nil, core.StaticConfig{Workers: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -226,7 +226,7 @@ func BenchmarkTable1Static(b *testing.B) {
 			s := setupFor(b, w)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.NewOptFT(w.Prog(), s.pr.DB); err != nil {
+				if _, err := core.NewOptFTStatic(w.Prog(), s.pr.DB, nil, core.StaticConfig{Workers: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -311,7 +311,7 @@ func BenchmarkTable2Static(b *testing.B) {
 		criterion := lastPrintOf(w)
 		b.Run(w.Name+"/sound", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.NewHybridSlicer(w.Prog(), criterion, benchBudget); err != nil {
+				if _, err := core.NewHybridSlicerStatic(w.Prog(), criterion, benchBudget, nil, core.StaticConfig{Workers: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -320,7 +320,7 @@ func BenchmarkTable2Static(b *testing.B) {
 			s := setupFor(b, w)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.NewOptSlice(w.Prog(), s.pr.DB, criterion, benchBudget); err != nil {
+				if _, err := core.NewOptSliceStatic(w.Prog(), s.pr.DB, criterion, benchBudget, nil, core.StaticConfig{Workers: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -358,7 +358,7 @@ func BenchmarkFig8StaticSlice(b *testing.B) {
 			b.ReportMetric(float64(s.sl.Static.Size()), "slice-instrs")
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.NewOptSlice(w.Prog(), s.pr.DB, lastPrintOf(w), benchBudget); err != nil {
+				if _, err := core.NewOptSliceStatic(w.Prog(), s.pr.DB, lastPrintOf(w), benchBudget, nil, core.StaticConfig{Workers: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -447,7 +447,7 @@ func BenchmarkFig11Ablation(b *testing.B) {
 		}
 		b.Run(w.Name+"/base", func(b *testing.B) {
 			run(b, func() error {
-				_, err := core.NewHybridSlicer(w.Prog(), criterion, benchBudget)
+				_, err := core.NewHybridSlicerStatic(w.Prog(), criterion, benchBudget, nil, core.StaticConfig{Workers: 1})
 				return err
 			})
 		})
@@ -455,7 +455,7 @@ func BenchmarkFig11Ablation(b *testing.B) {
 			s := setupFor(b, w)
 			b.ResetTimer()
 			run(b, func() error {
-				_, err := core.NewOptSlice(w.Prog(), s.pr.DB, criterion, benchBudget)
+				_, err := core.NewOptSliceStatic(w.Prog(), s.pr.DB, criterion, benchBudget, nil, core.StaticConfig{Workers: 1})
 				return err
 			})
 		})
@@ -600,7 +600,7 @@ func BenchmarkAblationAggressiveLUC(b *testing.B) {
 		b.ReportMetric(float64(events), "events/op")
 	})
 	b.Run("aggressive", func(b *testing.B) {
-		agg, err := core.NewOptFT(w.Prog(), s.pr.AggressiveDB(0.6))
+		agg, err := core.NewOptFTStatic(w.Prog(), s.pr.AggressiveDB(0.6), nil, core.StaticConfig{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -68,6 +68,7 @@ import (
 	"strings"
 
 	"oha"
+	"oha/internal/core"
 )
 
 func main() {
@@ -85,7 +86,7 @@ func main() {
 	criterion := fs.Int("criterion", -1, "slice: print-statement index (default: last)")
 	budget := fs.Int("budget", 4096, "slice: context-sensitive analysis budget")
 	cacheDir := fs.String("cache-dir", "", "persist static-analysis artifacts under this directory (default: in-memory only)")
-	adaptive := fs.Bool("adapt", false, "race/slice: on mis-speculation, refine the violated invariant, re-analyze, and retry")
+	adaptive := fs.Bool("adapt", false, "race/slice/nullcheck: on mis-speculation, refine the violated invariant, re-analyze, and retry")
 	engine := fs.String("engine", "compiled", "execution engine: compiled|tree")
 	staticWorkers := fs.Int("static-workers", 0, "parallel static-solver workers (0: GOMAXPROCS, 1: sequential)")
 	incremental := fs.Bool("inc", true, "adapt: resume re-analysis from the previous generation's saturated solver state")
@@ -189,14 +190,10 @@ func main() {
 			check(err)
 		case *adaptive:
 			m := oha.NewSpeculationManager(prog, loadInv(*inv), oha.SpeculationOptions{Cache: cache, Static: static})
-			attempts, err := m.RunRace(e, ropts)
-			check(err)
-			rep = attempts[len(attempts)-1].Report
-			printAttempts(attemptReports(attempts))
+			rep = refineAndRetry[*oha.RaceReport](m, m.Race, e, ropts)
 			defer printSpeculation(m)
 		default:
-			db := loadInv(*inv)
-			det, err := oha.NewRaceDetectorStatic(prog, db, cache, static)
+			det, err := oha.NewRaceDetector(prog, loadInv(*inv), cache, static)
 			check(err)
 			check(det.ValidateCustomSync([]oha.Execution{{Inputs: in, Seed: 1}}, ropts))
 			rep, err = det.Run(e, ropts)
@@ -222,13 +219,10 @@ func main() {
 			check(err)
 		case *adaptive:
 			m := oha.NewSpeculationManager(prog, loadInv(*inv), oha.SpeculationOptions{Cache: cache, Static: static})
-			attempts, err := m.RunNull(e, ropts)
-			check(err)
-			rep = attempts[len(attempts)-1].Report
-			printAttempts(nullAttemptReports(attempts))
+			rep = refineAndRetry[*oha.NullReport](m, m.Null, e, ropts)
 			defer printSpeculation(m)
 		default:
-			det, err := oha.NewNullCheckerStatic(prog, loadInv(*inv), cache, static)
+			det, err := oha.NewNullChecker(prog, loadInv(*inv), cache, static)
 			check(err)
 			fmt.Printf("static: discharged %d/%d null checks (%.0f%%)\n",
 				det.ElidedChecks(), det.Pred.DerefSites, 100*det.DischargeRatio())
@@ -262,13 +256,10 @@ func main() {
 		var rep *oha.SliceReport
 		if *adaptive {
 			m := oha.NewSpeculationManager(prog, db, oha.SpeculationOptions{Cache: cache, Static: static})
-			attempts, err := m.RunSlice(prints[idx], *budget, e, ropts)
-			check(err)
-			rep = attempts[len(attempts)-1].Report
-			printAttempts(sliceAttemptReports(attempts))
+			rep = refineAndRetry[*oha.SliceReport](m, func() (*oha.Slicer, int, error) { return m.Slice(prints[idx], *budget) }, e, ropts)
 			defer printSpeculation(m)
 		} else {
-			sl, err := oha.NewSlicerStatic(prog, db, prints[idx], *budget, cache, static)
+			sl, err := oha.NewSlicer(prog, db, prints[idx], *budget, cache, static)
 			check(err)
 			rep, err = sl.Run(e, ropts)
 			check(err)
@@ -289,53 +280,27 @@ func main() {
 	}
 }
 
-// attempt is the engine-agnostic view of one refine-and-retry attempt.
-type attempt struct {
-	gen        int
-	rolledBack bool
-	violation  oha.Violation
-}
-
-func attemptReports(as []oha.RaceAttempt) []attempt {
-	out := make([]attempt, len(as))
-	for i, a := range as {
-		out[i] = attempt{gen: a.Generation, rolledBack: a.Report.RolledBack, violation: a.Report.Violation}
-	}
-	return out
-}
-
-func sliceAttemptReports(as []oha.SliceAttempt) []attempt {
-	out := make([]attempt, len(as))
-	for i, a := range as {
-		out[i] = attempt{gen: a.Generation, rolledBack: a.Report.RolledBack, violation: a.Report.Violation}
-	}
-	return out
-}
-
-func nullAttemptReports(as []oha.NullAttempt) []attempt {
-	out := make([]attempt, len(as))
-	for i, a := range as {
-		out[i] = attempt{gen: a.Generation, rolledBack: a.Report.RolledBack, violation: a.Report.Violation}
-	}
-	return out
-}
-
-// printAttempts narrates the refine-and-retry loop, one line per
-// generation attempted.
-func printAttempts(as []attempt) {
-	for i, a := range as {
+// refineAndRetry runs the adaptive refine-and-retry loop, narrates it
+// one line per generation attempted, and returns the authoritative
+// (last) report.
+func refineAndRetry[R oha.Report, D core.Detector[R]](m *oha.SpeculationManager, get func() (D, int, error), e oha.Execution, ropts oha.RunOptions) R {
+	attempts, err := oha.RefineAndRetry[R](m, get, e, ropts)
+	check(err)
+	for i, a := range attempts {
+		out := a.Report.Common()
 		switch {
-		case !a.rolledBack:
-			fmt.Printf("generation %d: speculation held\n", a.gen)
-		case i < len(as)-1:
-			fmt.Printf("generation %d: mis-speculation (%s); refining and re-analyzing\n", a.gen, a.violation)
+		case !out.RolledBack:
+			fmt.Printf("generation %d: speculation held\n", a.Generation)
+		case i < len(attempts)-1:
+			fmt.Printf("generation %d: mis-speculation (%s); refining and re-analyzing\n", a.Generation, out.Violation)
 		default:
 			// Rolled back with no retry: the violation was not a
 			// refinable invariant (the report is still sound — the
 			// rollback re-ran the traditional hybrid analysis).
-			fmt.Printf("generation %d: mis-speculation (%s); rolled back to hybrid analysis\n", a.gen, a.violation)
+			fmt.Printf("generation %d: mis-speculation (%s); rolled back to hybrid analysis\n", a.Generation, out.Violation)
 		}
 	}
+	return attempts[len(attempts)-1].Report
 }
 
 // printSpeculation prints the adaptive summary after the report.

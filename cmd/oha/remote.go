@@ -64,37 +64,48 @@ type remoteProfileResult struct {
 	Counts       remoteCounts `json:"counts"`
 }
 
+// remoteSpeculation is the part of every analysis job result the
+// daemon shapes identically (server.Speculation).
+type remoteSpeculation struct {
+	RolledBack bool   `json:"rolled_back"`
+	Violation  string `json:"violation"`
+	Generation int    `json:"generation"`
+	Attempts   int    `json:"attempts"`
+}
+
+// print narrates the speculation ahead of the client's verdict;
+// fallback names the analysis a rollback re-ran.
+func (s remoteSpeculation) print(adaptive bool, fallback string) {
+	if s.RolledBack && !adaptive {
+		fmt.Printf("mis-speculation (%s): rolled back to %s\n", s.Violation, fallback)
+	}
+	if adaptive {
+		fmt.Printf("adaptive: generation %d after %d attempt(s)\n", s.Generation, s.Attempts)
+	}
+}
+
 type remoteRaceResult struct {
+	remoteSpeculation
 	Races           []string `json:"races"`
-	RolledBack      bool     `json:"rolled_back"`
-	Violation       string   `json:"violation"`
-	Generation      int      `json:"generation"`
-	Attempts        int      `json:"attempts"`
 	InstrumentedOps uint64   `json:"instrumented_ops"`
 }
 
 type remoteNullResult struct {
+	remoteSpeculation
 	NilSites         []int  `json:"nil_sites"`
 	NilDerefs        uint64 `json:"nil_derefs"`
-	RolledBack       bool   `json:"rolled_back"`
-	Violation        string `json:"violation"`
-	Generation       int    `json:"generation"`
-	Attempts         int    `json:"attempts"`
 	DischargedChecks int    `json:"discharged_checks"`
 	DerefSites       int    `json:"deref_sites"`
 	CheckedDerefs    uint64 `json:"checked_derefs"`
 }
 
 type remoteSliceResult struct {
-	CriterionIndex int    `json:"criterion_index"`
-	CriterionLine  int    `json:"criterion_line"`
-	SliceInstrs    int    `json:"slice_instrs"`
-	DynNodes       int    `json:"dyn_nodes"`
-	Lines          []int  `json:"lines"`
-	RolledBack     bool   `json:"rolled_back"`
-	Violation      string `json:"violation"`
-	Generation     int    `json:"generation"`
-	Attempts       int    `json:"attempts"`
+	remoteSpeculation
+	CriterionIndex int   `json:"criterion_index"`
+	CriterionLine  int   `json:"criterion_line"`
+	SliceInstrs    int   `json:"slice_instrs"`
+	DynNodes       int   `json:"dyn_nodes"`
+	Lines          []int `json:"lines"`
 }
 
 func runRemote(base, cmd string, o remoteOpts) error {
@@ -215,12 +226,7 @@ func runRemote(base, cmd string, o remoteOpts) error {
 			return err
 		}
 		res := wrap.Result
-		if res.RolledBack && !o.adaptive {
-			fmt.Printf("mis-speculation (%s): rolled back to hybrid analysis\n", res.Violation)
-		}
-		if o.adaptive {
-			fmt.Printf("adaptive: generation %d after %d attempt(s)\n", res.Generation, res.Attempts)
-		}
+		res.print(o.adaptive, "hybrid analysis")
 		if len(res.Races) == 0 {
 			fmt.Println("no data races detected")
 		}
@@ -237,12 +243,7 @@ func runRemote(base, cmd string, o remoteOpts) error {
 			return err
 		}
 		res := wrap.Result
-		if res.RolledBack && !o.adaptive {
-			fmt.Printf("mis-speculation (%s): rolled back to hybrid analysis\n", res.Violation)
-		}
-		if o.adaptive {
-			fmt.Printf("adaptive: generation %d after %d attempt(s)\n", res.Generation, res.Attempts)
-		}
+		res.print(o.adaptive, "hybrid analysis")
 		if len(res.NilSites) == 0 {
 			fmt.Println("no nil dereferences observed")
 		}
@@ -260,12 +261,7 @@ func runRemote(base, cmd string, o remoteOpts) error {
 			return err
 		}
 		res := wrap.Result
-		if res.RolledBack && !o.adaptive {
-			fmt.Printf("mis-speculation (%s): rolled back to hybrid slicing\n", res.Violation)
-		}
-		if o.adaptive {
-			fmt.Printf("adaptive: generation %d after %d attempt(s)\n", res.Generation, res.Attempts)
-		}
+		res.print(o.adaptive, "hybrid slicing")
 		fmt.Printf("dynamic slice of print #%d (criterion line %d): %d instructions, %d dynamic nodes\n",
 			res.CriterionIndex, res.CriterionLine, res.SliceInstrs, res.DynNodes)
 		lines := append([]int(nil), res.Lines...)

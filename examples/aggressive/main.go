@@ -107,13 +107,13 @@ func main() {
 	}
 	fmt.Printf("profiled %d executions (slow path seen in ~1/3 of them)\n\n", profile.Runs)
 
-	standard, err := oha.NewRaceDetector(prog, profile.DB)
+	standard, err := oha.NewRaceDetector(prog, profile.DB, nil, oha.StaticConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	// Aggressive: blocks must appear in at least 60%% of profiled runs
 	// to count as reachable — the slow path does not.
-	aggressive, err := oha.NewRaceDetector(prog, profile.AggressiveDB(0.6))
+	aggressive, err := oha.NewRaceDetector(prog, profile.AggressiveDB(0.6), nil, oha.StaticConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -52,7 +52,7 @@ func main() {
 	fmt.Printf("profiled %d executions: %+v\n\n", profile.Runs, profile.DB.Count())
 
 	// Phase 2: predicated static analysis (and the sound fallback).
-	det, err := oha.NewRaceDetector(prog, profile.DB)
+	det, err := oha.NewRaceDetector(prog, profile.DB, nil, oha.StaticConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -90,7 +90,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	det, err := oha.NewRaceDetector(prog, profile.DB)
+	det, err := oha.NewRaceDetector(prog, profile.DB, nil, oha.StaticConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

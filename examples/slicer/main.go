@@ -89,7 +89,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	hybrid, err := oha.NewHybridSlicer(prog, criterion, 4096)
+	hybrid, err := oha.NewHybridSlicer(prog, criterion, 4096, nil, oha.StaticConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	slicer, err := oha.NewSlicer(prog, profile.DB, criterion, 4096)
+	slicer, err := oha.NewSlicer(prog, profile.DB, criterion, 4096, nil, oha.StaticConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,9 +8,10 @@
 //
 // The package is three cooperating pieces:
 //
-//   - a violation ledger: structured core.Violation records from
-//     OptFT/OptSlice rollbacks, accumulated into per-invariant-fact
-//     violation counters and per-generation success statistics;
+//   - a violation ledger: structured core.Violation records from the
+//     rollbacks of every optimistic client (OptFT, OptSlice, OptNull),
+//     accumulated into per-invariant-fact violation counters and
+//     per-generation success statistics;
 //   - a refinement policy: past Policy.Threshold observations of one
 //     fact (default 1, per the paper), the fact is removed from a
 //     derived invariants.DB generation using the merge-respecting
@@ -89,10 +90,6 @@ type Options struct {
 	// Inc, when non-nil, receives the static pipeline's per-phase
 	// latencies and the incremental constraint-reuse ratio.
 	Inc *inc.Metrics
-	// MaxTraceNodes / NoBloom are forwarded to every OptSlice the
-	// manager builds (0 / false: the dynslice defaults).
-	MaxTraceNodes int
-	NoBloom       bool
 }
 
 // GenerationRecord describes one deployed configuration.
@@ -160,18 +157,15 @@ type ClientStats struct {
 
 // Manager owns the adaptive state for one (program, base DB) pair. It
 // implements core.Adapter, so it can be installed as RunOptions.Adapt
-// on any OptFT/OptSlice run; the RunRace/RunSlice helpers add the
-// refine-and-retry loop on top. All methods are safe for concurrent
-// use.
+// on any optimistic run; Run adds the refine-and-retry loop on top.
+// All methods are safe for concurrent use.
 type Manager struct {
-	prog          *ir.Program
-	cache         *artifacts.Cache
-	policy        Policy
-	met           *Metrics
-	static        core.StaticConfig
-	incMet        *inc.Metrics
-	maxTraceNodes int
-	noBloom       bool
+	prog   *ir.Program
+	cache  *artifacts.Cache
+	policy Policy
+	met    *Metrics
+	static core.StaticConfig
+	incMet *inc.Metrics
 
 	// cur is the published generation; reads are lock-free, so
 	// in-flight runs keep their snapshot while a swap lands.
@@ -198,51 +192,70 @@ type Manager struct {
 
 var _ core.Adapter = (*Manager)(nil)
 
-// generation is one immutable deployed configuration. The race
-// detector and per-criterion slicers are built lazily and memoized;
-// construction goes through the shared artifact cache, so a rebuild of
-// an already-solved configuration is cheap.
+// generation is one immutable deployed configuration. Its detectors
+// (one per client, and per criterion and budget for the slicer) are
+// built lazily and memoized; construction goes through the shared
+// artifact cache, so a rebuild of an already-solved configuration is
+// cheap.
 type generation struct {
 	n  int
 	db *invariants.DB
 	m  *Manager
 
-	raceOnce sync.Once
-	raceDet  *core.OptFT
-	raceErr  error
-
-	nullOnce sync.Once
-	nullDet  *core.OptNull
-	nullErr  error
-
-	mu      sync.Mutex
-	slicers map[slicerKey]*core.OptSlice
+	mu   sync.Mutex
+	dets map[detectorKey]*built
 }
 
-type slicerKey struct {
+// detectorKey identifies one memoized detector of a generation.
+type detectorKey struct {
+	client    string
 	criterion int
 	budget    int
 }
 
+// built is one memoized detector construction.
+type built struct {
+	once sync.Once
+	det  any
+	err  error
+}
+
+func newGeneration(n int, db *invariants.DB, m *Manager) *generation {
+	return &generation{n: n, db: db, m: m, dets: map[detectorKey]*built{}}
+}
+
+// detector returns g's detector for k, building it on first use;
+// concurrent callers for one key wait for the single build.
+func detector[D any](g *generation, k detectorKey, build func() (D, error)) (D, error) {
+	g.mu.Lock()
+	b := g.dets[k]
+	if b == nil {
+		b = &built{}
+		g.dets[k] = b
+	}
+	g.mu.Unlock()
+	b.once.Do(func() { b.det, b.err = build() })
+	d, _ := b.det.(D)
+	return d, b.err
+}
+
 // New returns a manager for prog with base invariant database db
 // (treated as immutable; generation 1). The expensive static solve is
-// deferred to the first Race/Slice call.
+// deferred to the first Race/Slice/Null call.
 func New(prog *ir.Program, db *invariants.DB, o Options) *Manager {
 	m := &Manager{
-		prog:          prog,
-		cache:         o.Cache,
-		policy:        o.Policy,
-		met:           o.Metrics,
-		static:        o.Static,
-		incMet:        o.Inc,
-		maxTraceNodes: o.MaxTraceNodes,
-		noBloom:       o.NoBloom,
-		byKind:        map[core.ViolationKind]uint64{},
-		byClient:      map[string]ClientStats{},
-		factCounts:    map[string]int{},
-		latest:        db,
+		prog:       prog,
+		cache:      o.Cache,
+		policy:     o.Policy,
+		met:        o.Metrics,
+		static:     o.Static,
+		incMet:     o.Inc,
+		byKind:     map[core.ViolationKind]uint64{},
+		byClient:   map[string]ClientStats{},
+		factCounts: map[string]int{},
+		latest:     db,
 	}
-	m.cur.Store(&generation{n: 1, db: db, m: m, slicers: map[slicerKey]*core.OptSlice{}})
+	m.cur.Store(newGeneration(1, db, m))
 	m.history = []GenerationRecord{{Generation: 1, DBDigest: artifacts.DBDigest(db)}}
 	return m
 }
@@ -268,7 +281,9 @@ func (m *Manager) Race() (*core.OptFT, int, error) {
 // and budget, building (and memoizing) it on first use.
 func (m *Manager) Slice(criterion *ir.Instr, budget int) (*core.OptSlice, int, error) {
 	g := m.cur.Load()
-	sl, err := g.slicer(criterion, budget)
+	sl, err := detector(g, detectorKey{client: "slice", criterion: criterion.ID, budget: budget}, func() (*core.OptSlice, error) {
+		return core.NewOptSliceStatic(m.prog, g.db, criterion, budget, m.cache, m.static)
+	})
 	return sl, g.n, err
 }
 
@@ -276,47 +291,26 @@ func (m *Manager) Slice(criterion *ir.Instr, budget int) (*core.OptSlice, int, e
 // generation number, building (and memoizing) it on first use.
 func (m *Manager) Null() (*core.OptNull, int, error) {
 	g := m.cur.Load()
-	det, err := g.null()
+	det, err := detector(g, detectorKey{client: "nullcheck"}, func() (*core.OptNull, error) {
+		start := time.Now()
+		det, err := core.NewOptNullStatic(m.prog, g.db, m.cache, m.static)
+		if err == nil {
+			m.incMet.ObservePhase("nullproof", "nullcheck", time.Since(start).Seconds())
+			m.setMaskDigest(g.n, det.CodeDigest())
+		}
+		return det, err
+	})
 	return det, g.n, err
 }
 
 func (g *generation) race() (*core.OptFT, error) {
-	g.raceOnce.Do(func() {
-		g.raceDet, g.raceErr = core.NewOptFTStatic(g.m.prog, g.db, g.m.cache, g.m.static)
-		if g.raceErr == nil {
-			g.m.setMaskDigest(g.n, g.raceDet.CodeDigest())
+	return detector(g, detectorKey{client: "race"}, func() (*core.OptFT, error) {
+		det, err := core.NewOptFTStatic(g.m.prog, g.db, g.m.cache, g.m.static)
+		if err == nil {
+			g.m.setMaskDigest(g.n, det.CodeDigest())
 		}
+		return det, err
 	})
-	return g.raceDet, g.raceErr
-}
-
-func (g *generation) null() (*core.OptNull, error) {
-	g.nullOnce.Do(func() {
-		start := time.Now()
-		g.nullDet, g.nullErr = core.NewOptNullStatic(g.m.prog, g.db, g.m.cache, g.m.static)
-		if g.nullErr == nil {
-			g.m.incMet.ObservePhase("nullproof", "nullcheck", time.Since(start).Seconds())
-			g.m.setMaskDigest(g.n, g.nullDet.CodeDigest())
-		}
-	})
-	return g.nullDet, g.nullErr
-}
-
-func (g *generation) slicer(criterion *ir.Instr, budget int) (*core.OptSlice, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	k := slicerKey{criterion: criterion.ID, budget: budget}
-	if sl, ok := g.slicers[k]; ok {
-		return sl, nil
-	}
-	sl, err := core.NewOptSliceStatic(g.m.prog, g.db, criterion, budget, g.m.cache, g.m.static)
-	if err != nil {
-		return nil, err
-	}
-	sl.MaxTraceNodes = g.m.maxTraceNodes
-	sl.NoBloom = g.m.noBloom
-	g.slicers[k] = sl
-	return sl, nil
 }
 
 // setMaskDigest back-fills a generation's mask digest into the history
@@ -335,40 +329,21 @@ func (m *Manager) setMaskDigest(gen int, digest string) {
 	}
 }
 
-// ObserveRace implements core.Adapter: it feeds one race report into
-// the ledger and, past the policy threshold, derives the refined DB.
-// Reports from foreign programs are ignored; the expensive re-solve is
-// deferred to Reconcile.
-func (m *Manager) ObserveRace(o *core.OptFT, _ core.Execution, rep *core.RaceReport) {
-	if o == nil || rep == nil || o.Prog != m.prog {
+// Observe implements core.Adapter: it feeds one outcome of client c
+// into the ledger and, past the policy threshold, derives the refined
+// DB. Outcomes on foreign programs are ignored; the expensive re-solve
+// is deferred to Reconcile.
+func (m *Manager) Observe(c core.Client, prog *ir.Program, _ core.Execution, out *core.Outcome) {
+	if out == nil || prog != m.prog {
 		return
 	}
-	m.observe("race", rep.RolledBack, rep.Violation, rep.IC)
-}
-
-// ObserveSlice implements core.Adapter for slice reports.
-func (m *Manager) ObserveSlice(o *core.OptSlice, _ core.Execution, rep *core.SliceReport) {
-	if o == nil || rep == nil || o.Prog != m.prog {
-		return
-	}
-	m.observe("slice", rep.RolledBack, rep.Violation, rep.IC)
-}
-
-// ObserveNull implements core.Adapter for null-check reports.
-func (m *Manager) ObserveNull(o *core.OptNull, _ core.Execution, rep *core.NullReport) {
-	if o == nil || rep == nil || o.Prog != m.prog {
-		return
-	}
-	m.observe("nullcheck", rep.RolledBack, rep.Violation, rep.IC)
-}
-
-func (m *Manager) observe(client string, rolledBack bool, v core.Violation, ic interp.ICStats) {
+	name, rolledBack, v := c.Name(), out.RolledBack, out.Violation
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.ic.Add(ic)
+	m.ic.Add(out.IC)
 	gen := m.cur.Load().n
 	m.runs++
-	cs := m.byClient[client]
+	cs := m.byClient[name]
 	cs.Runs++
 	if gen > 1 {
 		m.prRuns++
@@ -381,8 +356,8 @@ func (m *Manager) observe(client string, rolledBack bool, v core.Violation, ic i
 		}
 		m.byKind[v.Kind]++
 	}
-	m.byClient[client] = cs
-	m.met.observeRun(client, rolledBack, gen > 1, string(v.Kind))
+	m.byClient[name] = cs
+	m.met.observeRun(name, rolledBack, gen > 1, string(v.Kind))
 	if !rolledBack || !Refinable(v.Kind) {
 		return
 	}
@@ -485,7 +460,7 @@ func (m *Manager) Reconcile(ctx context.Context) (bool, error) {
 		}
 	}
 	maskStart := time.Now()
-	g := &generation{n: n, db: db, m: m, slicers: map[slicerKey]*core.OptSlice{}}
+	g := newGeneration(n, db, m)
 	det, err := g.race() // the eager part of the re-solve
 	if err != nil {
 		return fail(err)
@@ -549,30 +524,26 @@ func (m *Manager) Status() Status {
 	return st
 }
 
-// RaceAttempt is one generation's attempt within RunRace.
-type RaceAttempt struct {
-	Generation int              `json:"generation"`
-	Report     *core.RaceReport `json:"report"`
+// Attempt is one generation's attempt within Run.
+type Attempt[R core.Report] struct {
+	Generation int `json:"generation"`
+	Report     R   `json:"report"`
 }
 
-// SliceAttempt is one generation's attempt within RunSlice.
-type SliceAttempt struct {
-	Generation int               `json:"generation"`
-	Report     *core.SliceReport `json:"report"`
-}
-
-// RunRace runs the refine-and-retry loop for one execution: run under
-// the current generation; on a refinable rollback, reconcile and
-// retry under the new one. The last attempt's report is authoritative
-// (rollback re-execution makes every attempt sound; retries only
-// recover speculation). The loop terminates because each refinement
-// strictly weakens a finite fact set, and Policy.MaxGenerations caps
-// it besides. opts.Adapt is overridden with m.
-func (m *Manager) RunRace(e core.Execution, opts core.RunOptions) ([]RaceAttempt, error) {
+// Run runs the refine-and-retry loop for one execution under any
+// client: run the detector get returns for the current generation
+// (Manager.Race, Manager.Null, or a Manager.Slice closure); on a
+// refinable rollback, reconcile and retry under the new one. The last
+// attempt's report is authoritative (rollback re-execution makes every
+// attempt sound; retries only recover speculation). The loop
+// terminates because each refinement strictly weakens a finite fact
+// set, and Policy.MaxGenerations caps it besides. opts.Adapt is
+// overridden with m.
+func Run[R core.Report, D core.Detector[R]](m *Manager, get func() (D, int, error), e core.Execution, opts core.RunOptions) ([]Attempt[R], error) {
 	opts.Adapt = m
-	var attempts []RaceAttempt
+	var attempts []Attempt[R]
 	for {
-		det, gen, err := m.Race()
+		det, gen, err := get()
 		if err != nil {
 			return attempts, err
 		}
@@ -580,72 +551,8 @@ func (m *Manager) RunRace(e core.Execution, opts core.RunOptions) ([]RaceAttempt
 		if err != nil {
 			return attempts, err
 		}
-		attempts = append(attempts, RaceAttempt{Generation: gen, Report: rep})
-		if !rep.RolledBack || !Refinable(rep.Violation.Kind) {
-			return attempts, nil
-		}
-		swapped, err := m.Reconcile(opts.Ctx)
-		if err != nil {
-			return attempts, err
-		}
-		if !swapped {
-			return attempts, nil
-		}
-	}
-}
-
-// NullAttempt is one generation's attempt within RunNull.
-type NullAttempt struct {
-	Generation int              `json:"generation"`
-	Report     *core.NullReport `json:"report"`
-}
-
-// RunNull is RunRace for the null checker: run under the current
-// generation; on a refinable rollback (a refuted non-null fact, an
-// unreachable-block or callee-set miss), reconcile and retry under the
-// refined configuration.
-func (m *Manager) RunNull(e core.Execution, opts core.RunOptions) ([]NullAttempt, error) {
-	opts.Adapt = m
-	var attempts []NullAttempt
-	for {
-		det, gen, err := m.Null()
-		if err != nil {
-			return attempts, err
-		}
-		rep, err := det.Run(e, opts)
-		if err != nil {
-			return attempts, err
-		}
-		attempts = append(attempts, NullAttempt{Generation: gen, Report: rep})
-		if !rep.RolledBack || !Refinable(rep.Violation.Kind) {
-			return attempts, nil
-		}
-		swapped, err := m.Reconcile(opts.Ctx)
-		if err != nil {
-			return attempts, err
-		}
-		if !swapped {
-			return attempts, nil
-		}
-	}
-}
-
-// RunSlice is RunRace for the slicer (one criterion and static
-// budget).
-func (m *Manager) RunSlice(criterion *ir.Instr, budget int, e core.Execution, opts core.RunOptions) ([]SliceAttempt, error) {
-	opts.Adapt = m
-	var attempts []SliceAttempt
-	for {
-		sl, gen, err := m.Slice(criterion, budget)
-		if err != nil {
-			return attempts, err
-		}
-		rep, err := sl.Run(e, opts)
-		if err != nil {
-			return attempts, err
-		}
-		attempts = append(attempts, SliceAttempt{Generation: gen, Report: rep})
-		if !rep.RolledBack || !Refinable(rep.Violation.Kind) {
+		attempts = append(attempts, Attempt[R]{Generation: gen, Report: rep})
+		if out := rep.Common(); !out.RolledBack || !Refinable(out.Violation.Kind) {
 			return attempts, nil
 		}
 		swapped, err := m.Reconcile(opts.Ctx)

@@ -76,55 +76,155 @@ func lastPrint(prog *ir.Program) *ir.Instr {
 	return criterion
 }
 
-// TestRefineAndRetryRace: the full loop on the LUC trigger — gen 1
-// rolls back, gen 2 runs the identical execution clean, and every
-// attempt matches FastTrack.
-func TestRefineAndRetryRace(t *testing.T) {
-	prog := lang.MustCompile(pathProg)
-	pr := profileDB(t, prog, []int64{5}, 20)
-	cache := artifacts.New("")
-	m := New(prog, pr.DB, Options{Cache: cache})
+// refineCase is one client's row of TestRefineAndRetry: a program
+// whose profiled invariants one execution refutes, the loop itself,
+// and the unoptimized baseline every attempt must agree with.
+type refineCase struct {
+	src      string
+	profile  func(run int) core.Execution
+	runs     int
+	exec     core.Execution
+	wantKind core.ViolationKind
+	// run executes the refine-and-retry loop and returns its attempts
+	// with the baseline oracle: whether a report matches the
+	// unoptimized analysis of the same execution.
+	run func(t *testing.T, m *Manager, e core.Execution) ([]Attempt[core.Report], func(core.Report) bool)
+	// check makes client-specific assertions on the first attempt.
+	check func(t *testing.T, first core.Report)
+}
 
-	e := core.Execution{Inputs: []int64{500}, Seed: 3}
-	ft, err := core.RunFastTrack(prog, e, core.RunOptions{})
+// erase forgets an attempt list's report type.
+func erase[R core.Report](t *testing.T, as []Attempt[R], err error) []Attempt[core.Report] {
+	t.Helper()
 	if err != nil {
 		t.Fatal(err)
 	}
-	attempts, err := m.RunRace(e, core.RunOptions{})
-	if err != nil {
-		t.Fatal(err)
+	out := make([]Attempt[core.Report], len(as))
+	for i, a := range as {
+		out[i] = Attempt[core.Report]{Generation: a.Generation, Report: a.Report}
 	}
-	if len(attempts) != 2 {
-		t.Fatalf("attempts = %d, want 2 (rollback then clean retry)", len(attempts))
-	}
-	first, second := attempts[0], attempts[1]
-	if first.Generation != 1 || !first.Report.RolledBack {
-		t.Fatalf("first attempt: gen=%d rolledback=%v", first.Generation, first.Report.RolledBack)
-	}
-	if first.Report.Violation.Kind != core.ViolationUnreachableBlock {
-		t.Fatalf("violation kind = %q", first.Report.Violation.Kind)
-	}
-	if second.Generation != 2 || second.Report.RolledBack {
-		t.Fatalf("second attempt: gen=%d rolledback=%v violation=%s",
-			second.Generation, second.Report.RolledBack, second.Report.Violation)
-	}
-	for i, a := range attempts {
-		if !core.SameRaces(ft, a.Report) {
-			t.Fatalf("attempt %d diverged from FastTrack", i)
+	return out
+}
+
+var refineCases = map[string]refineCase{
+	"race": {
+		src:      pathProg,
+		profile:  func(run int) core.Execution { return core.Execution{Inputs: []int64{5}, Seed: uint64(run + 1)} },
+		runs:     20,
+		exec:     core.Execution{Inputs: []int64{500}, Seed: 3},
+		wantKind: core.ViolationUnreachableBlock,
+		run: func(t *testing.T, m *Manager, e core.Execution) ([]Attempt[core.Report], func(core.Report) bool) {
+			ft, err := core.RunFastTrack(m.Prog(), e, core.RunOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			as, err := Run[*core.RaceReport](m, m.Race, e, core.RunOptions{})
+			return erase(t, as, err), func(r core.Report) bool { return core.SameRaces(ft, r.(*core.RaceReport)) }
+		},
+	},
+	"slice": {
+		src:      pathProg,
+		profile:  func(run int) core.Execution { return core.Execution{Inputs: []int64{5}, Seed: uint64(run + 1)} },
+		runs:     20,
+		exec:     core.Execution{Inputs: []int64{500}, Seed: 3},
+		wantKind: core.ViolationUnreachableBlock,
+		run: func(t *testing.T, m *Manager, e core.Execution) ([]Attempt[core.Report], func(core.Report) bool) {
+			criterion := lastPrint(m.Prog())
+			full, err := core.RunFullGiri(m.Prog(), criterion, e, core.RunOptions{}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			as, err := Run[*core.SliceReport](m, slicer(m, criterion, 512), e, core.RunOptions{})
+			return erase(t, as, err), func(r core.Report) bool { return full.Slice.Equal(r.(*core.SliceReport).Slice) }
+		},
+	},
+	"nullcheck": {
+		src: nullProg,
+		profile: func(run int) core.Execution {
+			return core.Execution{Inputs: []int64{int64(run * 40)}, Seed: uint64(run + 1)}
+		},
+		runs:     8,
+		exec:     core.Execution{Inputs: []int64{2000}, Seed: 3},
+		wantKind: core.ViolationNonNull,
+		run: func(t *testing.T, m *Manager, e core.Execution) ([]Attempt[core.Report], func(core.Report) bool) {
+			base, err := core.RunNullAlways(m.Prog(), e, core.RunOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(base.NilSites) != 1 {
+				t.Fatalf("baseline nil sites = %v, want one", base.NilSites)
+			}
+			as, err := Run[*core.NullReport](m, m.Null, e, core.RunOptions{})
+			return erase(t, as, err), func(r core.Report) bool { return core.SameNullVerdicts(base, r.(*core.NullReport)) }
+		},
+		check: func(t *testing.T, first core.Report) {
+			if first.(*core.NullReport).DischargedChecks == 0 {
+				t.Fatal("gen 1 discharged no checks — nothing was speculative")
+			}
+		},
+	},
+}
+
+// TestRefineAndRetry runs the full loop for every registered client:
+// gen 1 rolls back on the refuted invariant, the refinement removes
+// exactly that fact, gen 2 runs the identical execution clean, every
+// attempt agrees with the client's unoptimized baseline, and the same
+// execution never costs a second rollback.
+func TestRefineAndRetry(t *testing.T) {
+	for _, c := range core.Clients() {
+		tc, ok := refineCases[c.Name()]
+		if !ok {
+			t.Fatalf("client %q has no refine-and-retry case", c.Name())
 		}
-	}
-	if got := m.Generation(); got != 2 {
-		t.Fatalf("generation = %d, want 2", got)
-	}
+		t.Run(c.Name(), func(t *testing.T) {
+			prog := lang.MustCompile(tc.src)
+			pr, err := core.Profile(prog, tc.profile, tc.runs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := New(prog, pr.DB, Options{Cache: artifacts.New("")})
 
-	// The paper's promise: the same execution never costs a second
-	// rollback.
-	again, err := m.RunRace(e, core.RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(again) != 1 || again[0].Report.RolledBack {
-		t.Fatalf("re-run after refinement still rolled back (%d attempts)", len(again))
+			attempts, matches := tc.run(t, m, tc.exec)
+			if len(attempts) != 2 {
+				t.Fatalf("attempts = %d, want 2 (rollback then clean retry)", len(attempts))
+			}
+			first, second := attempts[0], attempts[1]
+			v := first.Report.Common().Violation
+			if first.Generation != 1 || !first.Report.Common().RolledBack {
+				t.Fatalf("first attempt: gen=%d rolledback=%v", first.Generation, first.Report.Common().RolledBack)
+			}
+			if v.Kind != tc.wantKind {
+				t.Fatalf("violation kind = %q, want %q", v.Kind, tc.wantKind)
+			}
+			if tc.check != nil {
+				tc.check(t, first.Report)
+			}
+			if second.Generation != 2 || second.Report.Common().RolledBack {
+				t.Fatalf("second attempt: gen=%d rolledback=%v violation=%s",
+					second.Generation, second.Report.Common().RolledBack, second.Report.Common().Violation)
+			}
+			for i, a := range attempts {
+				if !matches(a.Report) {
+					t.Fatalf("attempt %d diverged from the unoptimized baseline", i)
+				}
+			}
+			if got := m.Generation(); got != 2 {
+				t.Fatalf("generation = %d, want 2", got)
+			}
+			if c.Refine(m.DB().Clone(), v) {
+				t.Fatalf("refinement left the refuted fact %s in place", v)
+			}
+
+			// The paper's promise: the same execution never costs a
+			// second rollback.
+			again, _ := tc.run(t, m, tc.exec)
+			if len(again) != 1 || again[0].Report.Common().RolledBack {
+				t.Fatalf("re-run after refinement still rolled back (%d attempts)", len(again))
+			}
+			if got := m.Status().Clients[c.Name()]; got.Runs != 3 || got.Rollbacks != 1 {
+				t.Fatalf("%s client stats = %+v, want runs 3 rollbacks 1", c.Name(), got)
+			}
+		})
 	}
 }
 
@@ -134,7 +234,7 @@ func TestRefineAndRetrySingleton(t *testing.T) {
 	pr := profileDB(t, prog, []int64{1}, 20)
 	m := New(prog, pr.DB, Options{Cache: artifacts.New("")})
 	e := core.Execution{Inputs: []int64{3}, Seed: 2}
-	attempts, err := m.RunRace(e, core.RunOptions{})
+	attempts, err := Run[*core.RaceReport](m, m.Race, e, core.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,36 +251,6 @@ func TestRefineAndRetrySingleton(t *testing.T) {
 	}
 }
 
-// TestRefineAndRetrySlice: the slicer side of the loop against hybrid
-// Giri per generation.
-func TestRefineAndRetrySlice(t *testing.T) {
-	prog := lang.MustCompile(pathProg)
-	pr := profileDB(t, prog, []int64{5}, 20)
-	m := New(prog, pr.DB, Options{Cache: artifacts.New("")})
-	criterion := lastPrint(prog)
-	e := core.Execution{Inputs: []int64{500}, Seed: 3}
-	full, err := core.RunFullGiri(prog, criterion, e, core.RunOptions{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	attempts, err := m.RunSlice(criterion, 512, e, core.RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(attempts) < 2 {
-		t.Fatalf("attempts = %d, want >= 2", len(attempts))
-	}
-	last := attempts[len(attempts)-1]
-	if last.Report.RolledBack {
-		t.Fatalf("last attempt rolled back with %s", last.Report.Violation)
-	}
-	for i, a := range attempts {
-		if !full.Slice.Equal(a.Report.Slice) {
-			t.Fatalf("attempt %d slice diverged from full Giri", i)
-		}
-	}
-}
-
 // TestStatusLedgerAndMetrics checks the ledger counters, history
 // digests, and metrics registration after one refinement.
 func TestStatusLedgerAndMetrics(t *testing.T) {
@@ -190,7 +260,7 @@ func TestStatusLedgerAndMetrics(t *testing.T) {
 	met := NewMetrics(reg)
 	m := New(prog, pr.DB, Options{Cache: artifacts.New(""), Metrics: met})
 
-	if _, err := m.RunRace(core.Execution{Inputs: []int64{500}, Seed: 3}, core.RunOptions{}); err != nil {
+	if _, err := Run[*core.RaceReport](m, m.Race, core.Execution{Inputs: []int64{500}, Seed: 3}, core.RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	st := m.Status()
@@ -245,21 +315,18 @@ func TestStaleViolationIsIdempotent(t *testing.T) {
 	pr := profileDB(t, prog, []int64{5}, 20)
 	m := New(prog, pr.DB, Options{Cache: artifacts.New("")})
 	e := core.Execution{Inputs: []int64{500}, Seed: 3}
-	if _, err := m.RunRace(e, core.RunOptions{}); err != nil {
+	if _, err := Run[*core.RaceReport](m, m.Race, e, core.RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if m.Generation() != 2 {
 		t.Fatalf("generation = %d", m.Generation())
 	}
-	// Replay the stale report by hand: an old-generation detector
+	// Replay the stale outcome by hand: an old-generation detector
 	// finishing late.
-	det, _, err := m.Race()
-	if err != nil {
-		t.Fatal(err)
-	}
-	stale := &core.RaceReport{RolledBack: true, Violation: core.Violation{
+	stale := &core.Outcome{RolledBack: true, Violation: core.Violation{
 		Kind: core.ViolationUnreachableBlock, Site: m.Status().History[1].Causes[0].Site, Callee: -1}}
-	m.ObserveRace(det, e, stale)
+	race, _ := core.ClientByName("race")
+	m.Observe(race, prog, e, stale)
 	if m.Pending() {
 		t.Fatal("stale violation left a pending reconcile")
 	}
@@ -279,14 +346,14 @@ func TestPolicyThreshold(t *testing.T) {
 	m := New(prog, pr.DB, Options{Cache: artifacts.New(""), Policy: Policy{Threshold: 2}})
 	e := core.Execution{Inputs: []int64{500}, Seed: 3}
 
-	attempts, err := m.RunRace(e, core.RunOptions{})
+	attempts, err := Run[*core.RaceReport](m, m.Race, e, core.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(attempts) != 1 || m.Generation() != 1 {
 		t.Fatalf("first violation refined below threshold (attempts=%d gen=%d)", len(attempts), m.Generation())
 	}
-	attempts, err = m.RunRace(e, core.RunOptions{})
+	attempts, err = Run[*core.RaceReport](m, m.Race, e, core.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +415,7 @@ func TestAdaptationSoundnessProperty(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d: fasttrack: %v", seed, err)
 				}
-				attempts, err := m.RunRace(e, core.RunOptions{})
+				attempts, err := Run[*core.RaceReport](m, m.Race, e, core.RunOptions{})
 				if err != nil {
 					t.Fatalf("seed %d: adapt race: %v", seed, err)
 				}
@@ -378,7 +445,7 @@ func TestAdaptationSoundnessProperty(t *testing.T) {
 					if err != nil {
 						t.Fatalf("seed %d: giri: %v", seed, err)
 					}
-					sattempts, err := m.RunSlice(criterion, 512, e, core.RunOptions{})
+					sattempts, err := Run[*core.SliceReport](m, slicer(m, criterion, 512), e, core.RunOptions{})
 					if err != nil {
 						t.Fatalf("seed %d: adapt slice: %v", seed, err)
 					}
@@ -420,14 +487,14 @@ func TestGenerationSequenceDeterministic(t *testing.T) {
 		for _, in := range inputs {
 			for _, s := range []uint64{11, 12} {
 				e := core.Execution{Inputs: in, Seed: s}
-				if _, err := m.RunRace(e, core.RunOptions{}); err != nil {
+				if _, err := Run[*core.RaceReport](m, m.Race, e, core.RunOptions{}); err != nil {
 					t.Fatalf("trial %d: %v", trial, err)
 				}
-				if _, err := m.RunNull(e, core.RunOptions{}); err != nil {
+				if _, err := Run[*core.NullReport](m, m.Null, e, core.RunOptions{}); err != nil {
 					t.Fatalf("trial %d: %v", trial, err)
 				}
 				if criterion != nil {
-					if _, err := m.RunSlice(criterion, 512, e, core.RunOptions{}); err != nil {
+					if _, err := Run[*core.SliceReport](m, slicer(m, criterion, 512), e, core.RunOptions{}); err != nil {
 						t.Fatalf("trial %d: %v", trial, err)
 					}
 				}
@@ -482,7 +549,7 @@ func TestConcurrentRunsDuringHotSwap(t *testing.T) {
 			defer func() { done <- struct{}{} }()
 			for rep := 0; rep < 5; rep++ {
 				i := (w + rep) % len(execs)
-				attempts, err := m.RunRace(execs[i], core.RunOptions{})
+				attempts, err := Run[*core.RaceReport](m, m.Race, execs[i], core.RunOptions{})
 				if err != nil {
 					errs <- err
 					return
@@ -506,7 +573,7 @@ func TestConcurrentRunsDuringHotSwap(t *testing.T) {
 	}
 	// Converged: one more pass over every execution runs clean.
 	for i, e := range execs {
-		attempts, err := m.RunRace(e, core.RunOptions{})
+		attempts, err := Run[*core.RaceReport](m, m.Race, e, core.RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -530,7 +597,7 @@ func TestWarmCacheIncrementalReanalysis(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := cache.Stats()
-	if _, err := m.RunRace(core.Execution{Inputs: []int64{500}, Seed: 3}, core.RunOptions{}); err != nil {
+	if _, err := Run[*core.RaceReport](m, m.Race, core.Execution{Inputs: []int64{500}, Seed: 3}, core.RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	after := cache.Stats()
@@ -541,7 +608,7 @@ func TestWarmCacheIncrementalReanalysis(t *testing.T) {
 	// only by the predicated artifacts of the new DB digest (points-to,
 	// MHP, static race, compiled images, refined-DB derivation).
 	t.Logf("cache misses %d -> %d, hits %d -> %d", before.Misses, after.Misses, before.Hits, after.Hits)
-	soundAgain, err := core.NewHybridFTCached(prog, cache)
+	soundAgain, err := core.NewHybridFTStatic(prog, cache, core.StaticConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -574,76 +641,8 @@ const nullProg = `
 	}
 `
 
-// TestRefineAndRetryNull: the full loop on the refuted non-null fact —
-// gen 1 rolls back to the sound run, gen 2 keeps the residual check
-// and runs the identical execution clean, and every attempt reports
-// the same nil-deref verdicts as the always-check baseline.
-func TestRefineAndRetryNull(t *testing.T) {
-	prog := lang.MustCompile(nullProg)
-	pr, err := core.Profile(prog, func(run int) core.Execution {
-		return core.Execution{Inputs: []int64{int64(run * 40)}, Seed: uint64(run + 1)}
-	}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache := artifacts.New("")
-	m := New(prog, pr.DB, Options{Cache: cache})
-
-	e := core.Execution{Inputs: []int64{2000}, Seed: 3}
-	base, err := core.RunNullAlways(prog, e, core.RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(base.NilSites) != 1 {
-		t.Fatalf("baseline nil sites = %v, want one", base.NilSites)
-	}
-
-	attempts, err := m.RunNull(e, core.RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(attempts) != 2 {
-		t.Fatalf("attempts = %d, want 2 (rollback then clean retry)", len(attempts))
-	}
-	first, second := attempts[0], attempts[1]
-	if first.Generation != 1 || !first.Report.RolledBack {
-		t.Fatalf("first attempt: gen=%d rolledback=%v", first.Generation, first.Report.RolledBack)
-	}
-	if first.Report.Violation.Kind != core.ViolationNonNull {
-		t.Fatalf("violation kind = %q", first.Report.Violation.Kind)
-	}
-	if first.Report.DischargedChecks == 0 {
-		t.Fatal("gen 1 discharged no checks — nothing was speculative")
-	}
-	if second.Generation != 2 || second.Report.RolledBack {
-		t.Fatalf("second attempt: gen=%d rolledback=%v violation=%s",
-			second.Generation, second.Report.RolledBack, second.Report.Violation)
-	}
-	for i, a := range attempts {
-		if !core.SameNullVerdicts(base, a.Report) {
-			t.Fatalf("attempt %d: nil sites %v diverged from baseline %v",
-				i, a.Report.NilSites, base.NilSites)
-		}
-	}
-	if got := m.Generation(); got != 2 {
-		t.Fatalf("generation = %d, want 2", got)
-	}
-	if m.DB().NonNullLoads.Has(first.Report.Violation.Site) {
-		t.Fatal("refinement left the refuted non-null fact in place")
-	}
-
-	// The refined generation never pays a second rollback for the
-	// same execution.
-	again, err := m.RunNull(e, core.RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(again) != 1 || again[0].Report.RolledBack {
-		t.Fatalf("post-refinement run: %d attempts, rolledback=%v",
-			len(again), again[0].Report.RolledBack)
-	}
-	st := m.Status()
-	if got := st.Clients["nullcheck"]; got.Runs != 3 || got.Rollbacks != 1 {
-		t.Fatalf("nullcheck client stats = %+v, want runs 3 rollbacks 1", got)
-	}
+// slicer adapts Manager.Slice for one criterion and budget to Run's
+// detector getter.
+func slicer(m *Manager, criterion *ir.Instr, budget int) func() (*core.OptSlice, int, error) {
+	return func() (*core.OptSlice, int, error) { return m.Slice(criterion, budget) }
 }

@@ -93,7 +93,7 @@ func TestFastPathParityAcrossRefinement(t *testing.T) {
 				Cache:  artifacts.New(""),
 				Static: core.StaticConfig{Workers: 1, NoFastPath: noFast},
 			})
-			tries, err := m.RunRace(e, core.RunOptions{})
+			tries, err := Run[*core.RaceReport](m, m.Race, e, core.RunOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,7 +145,7 @@ func TestFastPathParityAcrossRefinement(t *testing.T) {
 				Cache:  artifacts.New(""),
 				Static: core.StaticConfig{Workers: 1, NoFastPath: noFast},
 			})
-			tries, err := m.RunSlice(criterion, 4096, e, core.RunOptions{})
+			tries, err := Run[*core.SliceReport](m, slicer(m, criterion, 4096), e, core.RunOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -206,7 +206,7 @@ func TestCalleeEscapeParityAcrossConfigs(t *testing.T) {
 			Cache:  artifacts.New(""),
 			Static: core.StaticConfig{Workers: workers, NoIC: noIC},
 		})
-		attempts, err := m.RunSlice(criterion, 4096, e, core.RunOptions{Engine: engine})
+		attempts, err := Run[*core.SliceReport](m, slicer(m, criterion, 4096), e, core.RunOptions{Engine: engine})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -55,11 +55,11 @@ func profileRare(t *testing.T) (*ProfileResult, *OptFT, *OptFT) {
 		return Execution{Inputs: []int64{int64(run%7 + 1), 3, 5, 9, 11, 13, 15, last}, Seed: uint64(run + 1)}
 	}, 16)
 
-	std, err := NewOptFT(prog, pr.DB)
+	std, err := NewOptFTStatic(prog, pr.DB, nil, StaticConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, err := NewOptFT(prog, pr.AggressiveDB(1.0)) // prune everything not in every run
+	agg, err := NewOptFTStatic(prog, pr.AggressiveDB(1.0), nil, StaticConfig{}) // prune everything not in every run
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,19 +17,89 @@ import (
 // indirect call, and a Bloom-filter-guarded stack check for call
 // contexts (§5.2.3).
 
-// raceChecker verifies the OptFT invariants: likely-unreachable code,
-// likely singleton threads, and likely guarding locks. (No custom
-// synchronization is verified by the race detector itself: any race
-// report while locks are elided is treated as a potential
-// mis-speculation.)
-type raceChecker struct {
+// checker is what every client's invariant checker shares: the run's
+// abort flag, the structured first violation, the check-event count,
+// and the checks of the two invariants more than one predicated static
+// phase assumes — likely-unreachable code and likely callee sets.
+type checker struct {
 	interp.NopTracer
 	abort *interp.Abort
 	// first is the structured form of the first violation this checker
 	// raised (mirrors abort's first-wins reason).
 	first Violation
 
-	luc         []bool // block ID -> assumed unreachable
+	luc []bool // block ID -> assumed unreachable
+	// calleeSets maps an indirect site to its allowed callee function
+	// IDs; nil leaves the callee-set check off.
+	calleeSets map[int]map[int]bool
+
+	// Events counts check events processed (for cost accounting).
+	Events uint64
+}
+
+func newChecker(prog *ir.Program, db *invariants.DB, abort *interp.Abort) checker {
+	c := checker{abort: abort, luc: make([]bool, len(prog.Blocks))}
+	for _, b := range prog.Blocks {
+		c.luc[b.ID] = db.LikelyUnreachable(b.ID)
+	}
+	return c
+}
+
+// watchCallees turns the likely-callee-set check on: an indirect call
+// or spawn violates when its target lies outside the site's profiled
+// set, or when the site has no profiled set at all.
+func (c *checker) watchCallees(db *invariants.DB) {
+	c.calleeSets = make(map[int]map[int]bool, len(db.Callees))
+	for site, set := range db.Callees {
+		m := map[int]bool{}
+		set.ForEach(func(f int) bool {
+			m[f] = true
+			return true
+		})
+		c.calleeSets[site] = m
+	}
+}
+
+// violate raises the abort flag with v. The structured record follows
+// the flag's first-wins rule, so it always describes the violation
+// whose reason the abort reports — even when another tracer sharing
+// the flag (the slicer's trace limit) raced it within one event chain.
+func (c *checker) violate(v Violation) {
+	if !c.abort.IsSet() {
+		c.first = v
+	}
+	c.abort.Set(v.String())
+}
+
+// BlockEnter fires the likely-unreachable-code check.
+func (c *checker) BlockEnter(_ vc.TID, b *ir.Block) {
+	c.Events++
+	if c.luc[b.ID] {
+		c.violate(Violation{Kind: ViolationUnreachableBlock, Site: b.ID, Callee: -1})
+	}
+}
+
+// checkCallee fires the likely-callee-set check at an indirect call or
+// spawn site.
+func (c *checker) checkCallee(in *ir.Instr, callee *ir.Function) {
+	if c.calleeSets == nil || !in.IsIndirect() {
+		return
+	}
+	c.Events++
+	set := c.calleeSets[in.ID]
+	if set == nil || !set[callee.ID] {
+		c.violate(Violation{Kind: ViolationCalleeSet, Site: in.ID, Callee: callee.ID, Detail: callee.Name})
+	}
+}
+
+// raceChecker verifies the OptFT invariants: likely-unreachable code,
+// likely singleton threads, and likely guarding locks. (No custom
+// synchronization is verified by the race detector itself: any race
+// report while locks are elided is treated as a potential
+// mis-speculation.)
+type raceChecker struct {
+	checker
+
 	spawnOnce   []bool // instr ID -> assumed singleton spawn site
 	spawnCounts map[int]int
 
@@ -38,35 +108,17 @@ type raceChecker struct {
 	// same single runtime address for the whole group.
 	lockGroup map[int]int // lock site -> group id
 	groupAddr map[int]interp.Addr
-
-	// Events counts check events processed (for cost accounting).
-	Events uint64
-}
-
-// violate raises the abort flag with v. The structured record follows
-// the flag's first-wins rule, so it always describes the violation
-// whose reason the abort reports — even when another tracer sharing
-// the flag (the slicer's trace limit) raced it within one event chain.
-func (c *raceChecker) violate(v Violation) {
-	if !c.abort.IsSet() {
-		c.first = v
-	}
-	c.abort.Set(v.String())
 }
 
 // newRaceChecker builds the checker for a database. prog supplies site
 // tables.
 func newRaceChecker(prog *ir.Program, db *invariants.DB, abort *interp.Abort) *raceChecker {
 	c := &raceChecker{
-		abort:       abort,
-		luc:         make([]bool, len(prog.Blocks)),
+		checker:     newChecker(prog, db, abort),
 		spawnOnce:   make([]bool, len(prog.Instrs)),
 		spawnCounts: map[int]int{},
 		lockGroup:   map[int]int{},
 		groupAddr:   map[int]interp.Addr{},
-	}
-	for _, b := range prog.Blocks {
-		c.luc[b.ID] = db.LikelyUnreachable(b.ID)
 	}
 	db.SingletonSpawns.ForEach(func(id int) bool {
 		c.spawnOnce[id] = true
@@ -95,14 +147,6 @@ func newRaceChecker(prog *ir.Program, db *invariants.DB, abort *interp.Abort) *r
 		c.lockGroup[site] = find(site)
 	}
 	return c
-}
-
-// BlockEnter fires the likely-unreachable-code check.
-func (c *raceChecker) BlockEnter(_ vc.TID, b *ir.Block) {
-	c.Events++
-	if c.luc[b.ID] {
-		c.violate(Violation{Kind: ViolationUnreachableBlock, Site: b.ID, Callee: -1})
-	}
 }
 
 // Spawn fires the likely-singleton-thread check.
@@ -148,20 +192,13 @@ func checkedBlockMask(prog *ir.Program, db *invariants.DB) []bool {
 // sliceChecker verifies the OptSlice invariants: likely-unreachable
 // code, likely callee sets, and likely unused call contexts.
 type sliceChecker struct {
-	interp.NopTracer
-	abort *interp.Abort
-	// first mirrors abort's first-wins reason in structured form.
-	first Violation
-	prog  *ir.Program
+	checker
+	prog *ir.Program
 
-	luc        []bool
-	calleeSets map[int]map[int]bool // indirect site -> allowed callee fn IDs
-	checkCtx   bool
-	ctxHashes  map[uint64]bool
-	ctxBloom   *bloom.Filter // nil: hash-set lookups only (ablation)
-	stacks     map[vc.TID]*checkStack
-
-	Events uint64
+	checkCtx  bool
+	ctxHashes map[uint64]bool
+	ctxBloom  *bloom.Filter // nil: hash-set lookups only (ablation)
+	stacks    map[vc.TID]*checkStack
 }
 
 // checkStack mirrors the profiler's acyclic context-tracking stack,
@@ -180,44 +217,17 @@ type checkFrame struct {
 
 func newSliceChecker(prog *ir.Program, db *invariants.DB, checkContexts bool, abort *interp.Abort) *sliceChecker {
 	c := &sliceChecker{
-		abort:      abort,
-		prog:       prog,
-		luc:        make([]bool, len(prog.Blocks)),
-		calleeSets: map[int]map[int]bool{},
-		checkCtx:   checkContexts,
-		stacks:     map[vc.TID]*checkStack{},
+		checker:  newChecker(prog, db, abort),
+		prog:     prog,
+		checkCtx: checkContexts,
+		stacks:   map[vc.TID]*checkStack{},
 	}
-	for _, b := range prog.Blocks {
-		c.luc[b.ID] = db.LikelyUnreachable(b.ID)
-	}
-	for site, set := range db.Callees {
-		m := map[int]bool{}
-		set.ForEach(func(f int) bool {
-			m[f] = true
-			return true
-		})
-		c.calleeSets[site] = m
-	}
+	c.watchCallees(db)
 	if checkContexts {
 		c.ctxHashes = db.Contexts.HashSet()
 		c.ctxBloom = db.Contexts.Bloom(0.01)
 	}
 	return c
-}
-
-// violate raises the abort flag with v (see raceChecker.violate).
-func (c *sliceChecker) violate(v Violation) {
-	if !c.abort.IsSet() {
-		c.first = v
-	}
-	c.abort.Set(v.String())
-}
-
-// disableBloom switches the call-context check to exact set inclusion
-// only — the configuration the paper found "too inefficient for some
-// programs" (§5.2.3); kept for the ablation benchmarks.
-func (c *sliceChecker) disableBloom() {
-	c.ctxBloom = nil
 }
 
 func (c *sliceChecker) stack(t vc.TID) *checkStack {
@@ -232,23 +242,9 @@ func (c *sliceChecker) stack(t vc.TID) *checkStack {
 	return s
 }
 
-// BlockEnter fires the likely-unreachable-code check.
-func (c *sliceChecker) BlockEnter(_ vc.TID, b *ir.Block) {
-	c.Events++
-	if c.luc[b.ID] {
-		c.violate(Violation{Kind: ViolationUnreachableBlock, Site: b.ID, Callee: -1})
-	}
-}
-
 // Call fires the likely-callee-set and call-context checks.
 func (c *sliceChecker) Call(t vc.TID, in *ir.Instr, callee *ir.Function, _, _ interp.FrameID) {
-	if in.IsIndirect() {
-		c.Events++
-		set := c.calleeSets[in.ID]
-		if set == nil || !set[callee.ID] {
-			c.violate(Violation{Kind: ViolationCalleeSet, Site: in.ID, Callee: callee.ID, Detail: callee.Name})
-		}
-	}
+	c.checkCallee(in, callee)
 	if !c.checkCtx {
 		return
 	}
@@ -259,14 +255,7 @@ func (c *sliceChecker) Call(t vc.TID, in *ir.Instr, callee *ir.Function, _, _ in
 		s.path = append(s.path, in.ID)
 		h := invariants.HashExtend(s.hashes[len(s.hashes)-1], in.ID)
 		s.hashes = append(s.hashes, h)
-		c.Events++
-		// Bloom prefilter, then the hash-set membership test.
-		if (c.ctxBloom != nil && !c.ctxBloom.MayContain(h)) || !c.ctxHashes[h] {
-			c.violate(Violation{
-				Kind: ViolationCallContext, Site: in.ID, Callee: -1,
-				Path: append([]int(nil), s.path...),
-			})
-		}
+		c.checkContext(h, in.ID, s.path)
 	}
 	s.active[callee.ID]++
 	s.frames = append(s.frames, fr)
@@ -274,13 +263,7 @@ func (c *sliceChecker) Call(t vc.TID, in *ir.Instr, callee *ir.Function, _, _ in
 
 // Spawn begins a new thread-root context.
 func (c *sliceChecker) Spawn(t vc.TID, in *ir.Instr, child vc.TID, _ interp.FrameID, callee *ir.Function) {
-	if in.IsIndirect() {
-		c.Events++
-		set := c.calleeSets[in.ID]
-		if set == nil || !set[callee.ID] {
-			c.violate(Violation{Kind: ViolationCalleeSet, Site: in.ID, Callee: callee.ID, Detail: callee.Name})
-		}
-	}
+	c.checkCallee(in, callee)
 	if !c.checkCtx {
 		return
 	}
@@ -291,14 +274,18 @@ func (c *sliceChecker) Spawn(t vc.TID, in *ir.Instr, child vc.TID, _ interp.Fram
 	s.active[callee.ID] = 1
 	h := invariants.HashContext(s.path)
 	s.hashes = append(s.hashes, h)
+	c.checkContext(h, in.ID, s.path)
+	c.stacks[child] = s
+}
+
+// checkContext fires the call-context check on the context path
+// extended at site, whose hash is h: a Bloom prefilter, then the
+// hash-set membership test.
+func (c *sliceChecker) checkContext(h uint64, site int, path []int) {
 	c.Events++
 	if (c.ctxBloom != nil && !c.ctxBloom.MayContain(h)) || !c.ctxHashes[h] {
-		c.violate(Violation{
-			Kind: ViolationCallContext, Site: in.ID, Callee: -1,
-			Path: append([]int(nil), s.path...),
-		})
+		c.violate(Violation{Kind: ViolationCallContext, Site: site, Callee: -1, Path: append([]int(nil), path...)})
 	}
-	c.stacks[child] = s
 }
 
 // Ret unwinds the context stack.

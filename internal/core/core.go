@@ -4,21 +4,26 @@
 //  1. likely-invariant profiling (package profile), including the
 //     iterative no-custom-synchronization pass of §4.2.4;
 //  2. predicated static analysis (packages pointsto, mhp, staticrace,
-//     staticslice over an invariant-restricted ctxs.Tree);
-//  3. speculative dynamic analysis: the client analysis (FastTrack or
-//     the dynamic slicer) runs with instrumentation elided per the
-//     predicated static results, alongside cheap invariant checks;
-//     a violated invariant aborts the run, which is then rolled back
-//     and re-executed under the traditional (sound) hybrid analysis.
+//     staticslice, nullcheck over an invariant-restricted ctxs.Tree);
+//  3. speculative dynamic analysis: the client analysis runs with
+//     instrumentation elided per the predicated static results,
+//     alongside cheap invariant checks; a violated invariant aborts
+//     the run, which is then rolled back and re-executed under the
+//     traditional (sound) hybrid analysis.
 //
-// Both of the paper's clients are provided: OptFT (race detection,
-// §4) and OptSlice (backward slicing, §5), together with their
-// traditional baselines (pure FastTrack, hybrid FastTrack, hybrid
-// Giri) for the evaluation harness.
+// Three clients share that lifecycle: OptFT (race detection, §4),
+// OptSlice (backward slicing, §5) and OptNull (null/misuse checking).
+// Each contributes only its static phase, masks, tracer, checker and
+// report; one runner (speculation.run) owns speculate→check→rollback,
+// and one checker base owns the checks the clients share. Each client
+// also has its traditional baselines (pure FastTrack, hybrid FastTrack,
+// hybrid Giri, always-check and hybrid null checking) for the
+// evaluation harness.
 package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"oha/internal/artifacts"
@@ -50,7 +55,7 @@ type RunOptions struct {
 	// Engine selects the interpreter engine (default: compiled
 	// bytecode; interp.EngineTree for the reference tree-walker).
 	Engine interp.EngineKind
-	// Adapt, when non-nil, observes every OptFT/OptSlice/OptNull report
+	// Adapt, when non-nil, observes every OptFT/OptSlice/OptNull outcome
 	// — the hook the adaptive speculation manager (internal/adapt) uses
 	// to feed its violation ledger. The observer runs after the report
 	// is final (including rollback re-execution) and must not mutate it.
@@ -64,38 +69,121 @@ func (o RunOptions) apply(cfg *interp.Config) {
 	cfg.Engine = o.Engine
 }
 
-// Adapter observes analysis reports as they are produced. It is
+// Adapter observes analysis outcomes as they are produced. It is
 // implemented by adapt.Manager; core itself never refines — the
 // observer only records, keeping run latency flat.
 type Adapter interface {
-	// ObserveRace is called once per OptFT.Run with the final report.
-	ObserveRace(o *OptFT, e Execution, rep *RaceReport)
-	// ObserveSlice is called once per OptSlice.Run with the final
-	// report.
-	ObserveSlice(o *OptSlice, e Execution, rep *SliceReport)
-	// ObserveNull is called once per OptNull.Run with the final report.
-	ObserveNull(o *OptNull, e Execution, rep *NullReport)
+	// Observe is called once per optimistic Run with the final
+	// outcome of client c's analysis of e on prog.
+	Observe(c Client, prog *ir.Program, e Execution, out *Outcome)
 }
 
-// observeRace forwards a final race report to the adapter, if any.
-func (o RunOptions) observeRace(opt *OptFT, e Execution, rep *RaceReport) {
-	if o.Adapt != nil {
-		o.Adapt.ObserveRace(opt, e, rep)
-	}
+// Outcome holds the report fields every client shares; RaceReport,
+// SliceReport and NullReport embed it.
+type Outcome struct {
+	// Stats are the interpreter's event counts for the run (including
+	// the rollback re-execution, if any).
+	Stats interp.Stats
+	// CheckEvents counts invariant-check events (optimistic runs).
+	CheckEvents uint64
+	// RolledBack reports that the speculative run mis-speculated and
+	// the results come from the traditional hybrid re-execution.
+	RolledBack bool
+	// Violation is the structured mis-speculation reason when
+	// RolledBack (the first violation the speculative run raised).
+	Violation Violation
+	// Output is the analyzed program's output.
+	Output []int64
+	// IC reports the compiled engine's speculative-dispatch activity
+	// (inline-cache hits/misses/deopts, fused superinstructions). For a
+	// rolled-back run it includes the aborted speculative execution's
+	// counts. Zero under the tree-walking engine.
+	IC interp.ICStats
 }
 
-// observeSlice forwards a final slice report to the adapter, if any.
-func (o RunOptions) observeSlice(opt *OptSlice, e Execution, rep *SliceReport) {
-	if o.Adapt != nil {
-		o.Adapt.ObserveSlice(opt, e, rep)
-	}
+// Common returns the shared fields, so code generic over the report
+// type (the lifecycle runner, adapt's retry loop) can read them.
+func (o *Outcome) Common() *Outcome { return o }
+
+// Report is implemented by every client's report type.
+type Report interface{ Common() *Outcome }
+
+// Detector is any client's analysis, as code generic over the client
+// runs it: OptFT, OptSlice and OptNull, or their hybrid baselines.
+type Detector[R Report] interface {
+	Run(Execution, RunOptions) (R, error)
 }
 
-// observeNull forwards a final null report to the adapter, if any.
-func (o RunOptions) observeNull(opt *OptNull, e Execution, rep *NullReport) {
-	if o.Adapt != nil {
-		o.Adapt.ObserveNull(opt, e, rep)
+// outcomeOf is the shared part of a completed run's report.
+func outcomeOf(res *interp.Result) Outcome {
+	return Outcome{Stats: res.Stats, Output: res.Output, IC: res.IC}
+}
+
+// execute runs e under cfg with opts applied.
+func execute(cfg interp.Config, e Execution, opts RunOptions) (*interp.Result, error) {
+	cfg.Inputs, cfg.Choose = e.Inputs, e.chooser()
+	opts.apply(&cfg)
+	return interp.Run(cfg)
+}
+
+// speculation is one optimistic run as the lifecycle runner sees it:
+// the parts of §2's speculate→check→rollback that differ per client.
+type speculation[R Report] struct {
+	client Client
+	// cfg is the predicated configuration; its tracer drives check,
+	// whose abort flag the runner installs.
+	cfg   interp.Config
+	check *checker
+	// refute, when non-nil, can reject a run no check aborted (OptFT:
+	// races reported while lock instrumentation is elided).
+	refute func() Violation
+	// verdict builds the report of a speculative run that held.
+	verdict func(res *interp.Result) R
+	// sound is the rollback target: the traditional hybrid analysis.
+	sound func(Execution, RunOptions) (R, error)
+}
+
+// run executes one speculative analysis of e. On a violated invariant
+// the same recorded execution is re-run under the sound hybrid analysis
+// (§2.3), and the report carries the structured violation plus the
+// aborted run's work. The adapter, if any, observes the final report.
+func (s speculation[R]) run(e Execution, opts RunOptions) (R, error) {
+	var rep R
+	s.cfg.Abort = s.check.abort
+	res, err := execute(s.cfg, e, opts)
+	var reason Violation
+	switch {
+	case errors.Is(err, interp.ErrAborted):
+		reason = s.check.first
+		if reason.None() {
+			// The abort came from outside the checker: the slicer's
+			// trace-node limit.
+			reason = Violation{Kind: ViolationTraceLimit, Site: -1, Callee: -1, Detail: s.check.abort.Reason()}
+		}
+	case err != nil:
+		return rep, err
+	case s.refute != nil:
+		reason = s.refute()
 	}
+	if reason.None() {
+		rep = s.verdict(res)
+	} else {
+		sound, err := s.sound(e, opts)
+		if err != nil {
+			return rep, fmt.Errorf("core: rollback re-execution failed: %w", err)
+		}
+		rep = sound
+		out := rep.Common()
+		out.RolledBack = true
+		out.Violation = reason
+		out.Stats.Add(res.Stats)
+		out.IC.Add(res.IC)
+	}
+	rep.Common().CheckEvents = s.check.Events
+	if opts.Adapt != nil {
+		opts.Adapt.Observe(s.client, s.cfg.Prog, e, rep.Common())
+	}
+	return rep, nil
 }
 
 // chooser builds the deterministic chooser for an execution.

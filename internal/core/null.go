@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
-	"errors"
 	"fmt"
 	"sort"
 
@@ -36,17 +35,7 @@ type NullReport struct {
 	// of the program's deref sites run with no dynamic check.
 	DischargedChecks int
 	DerefSites       int
-	// Stats are the interpreter event counts (including rollback work).
-	Stats interp.Stats
-	// CheckEvents counts invariant-check events (optimistic runs).
-	CheckEvents uint64
-	// RolledBack / Violation describe a mis-speculation, if any.
-	RolledBack bool
-	Violation  Violation
-	// Output is the analyzed program's output.
-	Output []int64
-	// IC reports the compiled engine's speculative-dispatch activity.
-	IC interp.ICStats
+	Outcome
 }
 
 // SameNullVerdicts reports whether two runs of one Execution observed
@@ -105,42 +94,20 @@ func (o *nullObserver) NilDeref(_ vc.TID, in *ir.Instr) { o.log.record(in.ID) }
 // and likely callee sets (the predicated points-to prunes indirect
 // calls to them).
 type nullChecker struct {
-	interp.NopTracer
-	abort *interp.Abort
-	// first mirrors abort's first-wins reason in structured form.
-	first Violation
-	log   nilLog
-
-	luc        []bool
-	fact       []bool               // load site -> used non-null fact
-	calleeSets map[int]map[int]bool // nil: callee invariant disabled
-
-	Events uint64
+	checker
+	log  nilLog
+	fact []bool // load site -> used non-null fact
 }
 
 func newNullChecker(prog *ir.Program, db *invariants.DB, used *bitset.Set, abort *interp.Abort) *nullChecker {
-	c := &nullChecker{
-		abort: abort,
-		luc:   make([]bool, len(prog.Blocks)),
-		fact:  make([]bool, len(prog.Instrs)),
-	}
-	for _, b := range prog.Blocks {
-		c.luc[b.ID] = db.LikelyUnreachable(b.ID)
-	}
+	c := &nullChecker{checker: newChecker(prog, db, abort), fact: make([]bool, len(prog.Instrs))}
 	used.ForEach(func(id int) bool {
 		c.fact[id] = true
 		return true
 	})
+	// A database without callee sets assumes none, so nothing to check.
 	if db.Callees != nil {
-		c.calleeSets = map[int]map[int]bool{}
-		for site, set := range db.Callees {
-			m := map[int]bool{}
-			set.ForEach(func(f int) bool {
-				m[f] = true
-				return true
-			})
-			c.calleeSets[site] = m
-		}
+		c.watchCallees(db)
 	}
 	return c
 }
@@ -157,14 +124,6 @@ func (c *nullChecker) FastState() *interp.FastState {
 // FlushMem implements interp.FastTracer; the checker never requests
 // memory-event batching.
 func (c *nullChecker) FlushMem([]interp.MemEvent) {}
-
-// violate raises the abort flag with v (see raceChecker.violate).
-func (c *nullChecker) violate(v Violation) {
-	if !c.abort.IsSet() {
-		c.first = v
-	}
-	c.abort.Set(v.String())
-}
 
 // Load fires the non-null-fact check: the mem mask delivers load
 // events exactly at the used fact sites.
@@ -186,14 +145,6 @@ func (c *nullChecker) NilDeref(_ vc.TID, in *ir.Instr) {
 	}
 }
 
-// BlockEnter fires the likely-unreachable-code check.
-func (c *nullChecker) BlockEnter(_ vc.TID, b *ir.Block) {
-	c.Events++
-	if c.luc[b.ID] {
-		c.violate(Violation{Kind: ViolationUnreachableBlock, Site: b.ID, Callee: -1})
-	}
-}
-
 // Call / Spawn fire the likely-callee-set check at indirect sites.
 func (c *nullChecker) Call(_ vc.TID, in *ir.Instr, callee *ir.Function, _, _ interp.FrameID) {
 	c.checkCallee(in, callee)
@@ -201,17 +152,6 @@ func (c *nullChecker) Call(_ vc.TID, in *ir.Instr, callee *ir.Function, _, _ int
 
 func (c *nullChecker) Spawn(_ vc.TID, in *ir.Instr, _ vc.TID, _ interp.FrameID, callee *ir.Function) {
 	c.checkCallee(in, callee)
-}
-
-func (c *nullChecker) checkCallee(in *ir.Instr, callee *ir.Function) {
-	if c.calleeSets == nil || !in.IsIndirect() {
-		return
-	}
-	c.Events++
-	set := c.calleeSets[in.ID]
-	if set == nil || !set[callee.ID] {
-		c.violate(Violation{Kind: ViolationCalleeSet, Site: in.ID, Callee: callee.ID, Detail: callee.Name})
-	}
 }
 
 // portableNullProof is the gob image of a nullcheck.Result (IDs only,
@@ -320,9 +260,7 @@ func nullReport(log *nilLog, res *interp.Result, proof *nullcheck.Result) *NullR
 		CheckedDerefs:    res.Stats.NullChecks,
 		DischargedChecks: proof.Discharged.Len(),
 		DerefSites:       proof.DerefSites,
-		Stats:            res.Stats,
-		Output:           res.Output,
-		IC:               res.IC,
+		Outcome:          outcomeOf(res),
 	}
 }
 
@@ -331,18 +269,14 @@ func nullReport(log *nilLog, res *interp.Result, proof *nullcheck.Result) *NullR
 // ratio is measured against.
 func RunNullAlways(prog *ir.Program, e Execution, opts RunOptions) (*NullReport, error) {
 	obs := &nullObserver{}
-	cfg := interp.Config{
+	res, err := execute(interp.Config{
 		Prog:      prog,
-		Inputs:    e.Inputs,
-		Choose:    e.chooser(),
 		Tracer:    obs,
 		MemMask:   make([]bool, len(prog.Instrs)),
 		SyncMask:  make([]bool, len(prog.Instrs)),
 		BlockMask: make([]bool, len(prog.Blocks)),
 		NullMask:  fullNullMask(prog),
-	}
-	opts.apply(&cfg)
-	res, err := interp.Run(cfg)
+	}, e, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -376,19 +310,8 @@ type HybridNull struct {
 	code      *interp.Code
 }
 
-// NewHybridNull runs the sound static non-nullness analysis.
-func NewHybridNull(prog *ir.Program) (*HybridNull, error) {
-	return NewHybridNullCached(prog, nil)
-}
-
-// NewHybridNullCached is NewHybridNull with static-artifact
-// memoization (nil cache: recompute).
-func NewHybridNullCached(prog *ir.Program, cache *artifacts.Cache) (*HybridNull, error) {
-	return NewHybridNullStatic(prog, cache, StaticConfig{Workers: 1})
-}
-
-// NewHybridNullStatic is NewHybridNullCached with an explicit static
-// pipeline configuration.
+// NewHybridNullStatic runs the sound static non-nullness analysis,
+// memoizing static artifacts in cache (nil: recompute).
 func NewHybridNullStatic(prog *ir.Program, cache *artifacts.Cache, cfg StaticConfig) (*HybridNull, error) {
 	proof, err := nullProofFor(prog, nil, cache, cfg)
 	if err != nil {
@@ -410,19 +333,15 @@ func NewHybridNullStatic(prog *ir.Program, cache *artifacts.Cache, cfg StaticCon
 // Run performs one sound hybrid null-checking run of e.
 func (h *HybridNull) Run(e Execution, opts RunOptions) (*NullReport, error) {
 	obs := &nullObserver{}
-	cfg := interp.Config{
+	res, err := execute(interp.Config{
 		Prog:      h.Prog,
-		Inputs:    e.Inputs,
-		Choose:    e.chooser(),
 		Tracer:    obs,
 		MemMask:   h.memMask,
 		SyncMask:  h.syncMask,
 		BlockMask: h.blockMask,
 		NullMask:  h.nullMask,
 		Code:      h.code,
-	}
-	opts.apply(&cfg)
-	res, err := interp.Run(cfg)
+	}, e, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -447,23 +366,13 @@ type OptNull struct {
 	code      *interp.Code
 }
 
-// NewOptNull runs both static analyses (predicated for speculation,
-// sound for rollback) and prepares masks.
-func NewOptNull(prog *ir.Program, db *invariants.DB) (*OptNull, error) {
-	return NewOptNullCached(prog, db, nil)
-}
-
-// NewOptNullCached is NewOptNull with static-artifact memoization (nil
-// cache: recompute). Masks are private to the returned instance; the
-// static proofs are shared cached values and must not be mutated.
-func NewOptNullCached(prog *ir.Program, db *invariants.DB, cache *artifacts.Cache) (*OptNull, error) {
-	return NewOptNullStatic(prog, db, cache, StaticConfig{Workers: 1})
-}
-
-// NewOptNullStatic is NewOptNullCached with an explicit static
-// pipeline configuration. With a warm cache — in particular one
-// prewarmed by inc.Reanalyze after an adaptive refinement — the
-// points-to stage is served, not solved.
+// NewOptNullStatic runs both static analyses (predicated for
+// speculation, sound for rollback) and prepares masks, memoizing
+// static artifacts in cache (nil: recompute). Masks are private to the
+// returned instance; the static proofs are shared cached values and
+// must not be mutated. With a warm cache — in particular one prewarmed
+// by inc.Reanalyze after an adaptive refinement — the points-to stage
+// is served, not solved.
 func NewOptNullStatic(prog *ir.Program, db *invariants.DB, cache *artifacts.Cache, cfg StaticConfig) (*OptNull, error) {
 	proof, err := nullProofFor(prog, db, cache, cfg)
 	if err != nil {
@@ -506,43 +415,20 @@ func (o *OptNull) DischargeRatio() float64 { return o.Pred.DischargeRatio() }
 // Run performs one speculative null-checking run of e, rolling back to
 // the traditional hybrid configuration on invariant violation.
 func (o *OptNull) Run(e Execution, opts RunOptions) (*NullReport, error) {
-	abort := &interp.Abort{}
-	checker := newNullChecker(o.Prog, o.DB, o.Pred.UsedFacts, abort)
-	cfg := interp.Config{
-		Prog:      o.Prog,
-		Inputs:    e.Inputs,
-		Choose:    e.chooser(),
-		Tracer:    checker,
-		MemMask:   o.memMask,
-		SyncMask:  o.syncMask,
-		BlockMask: o.blockMask,
-		NullMask:  o.nullMask,
-		Code:      o.code,
-		Abort:     abort,
-	}
-	opts.apply(&cfg)
-	res, err := interp.Run(cfg)
-
-	if errors.Is(err, interp.ErrAborted) {
-		// Mis-speculation: roll back, re-execute under the sound hybrid
-		// configuration (§2.3).
-		rep, err2 := o.Sound.Run(e, opts)
-		if err2 != nil {
-			return nil, fmt.Errorf("core: rollback re-execution failed: %w", err2)
-		}
-		rep.RolledBack = true
-		rep.Violation = checker.first
-		rep.CheckEvents = checker.Events
-		rep.Stats.Add(res.Stats)
-		rep.IC.Add(res.IC)
-		opts.observeNull(o, e, rep)
-		return rep, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	rep := nullReport(&checker.log, res, o.Pred)
-	rep.CheckEvents = checker.Events
-	opts.observeNull(o, e, rep)
-	return rep, nil
+	ck := newNullChecker(o.Prog, o.DB, o.Pred.UsedFacts, &interp.Abort{})
+	return speculation[*NullReport]{
+		client: nullClient{},
+		cfg: interp.Config{
+			Prog:      o.Prog,
+			Tracer:    ck,
+			MemMask:   o.memMask,
+			SyncMask:  o.syncMask,
+			BlockMask: o.blockMask,
+			NullMask:  o.nullMask,
+			Code:      o.code,
+		},
+		check:   &ck.checker,
+		verdict: func(res *interp.Result) *NullReport { return nullReport(&ck.log, res, o.Pred) },
+		sound:   o.Sound.Run,
+	}.run(e, opts)
 }

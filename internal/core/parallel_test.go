@@ -143,7 +143,7 @@ func TestCacheEliminatesRepeatedStaticSolves(t *testing.T) {
 
 	// Cold: the predicated race pipeline solves points-to, MHP and the
 	// static race analysis once.
-	opt1, err := NewOptFTCached(prog, pr.DB, cache)
+	opt1, err := NewOptFTStatic(prog, pr.DB, cache, StaticConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestCacheEliminatesRepeatedStaticSolves(t *testing.T) {
 
 	// Warm: rebuilding the same configuration must perform zero new
 	// solves and produce an equivalent analysis.
-	opt2, err := NewOptFTCached(prog, pr.DB, cache)
+	opt2, err := NewOptFTStatic(prog, pr.DB, cache, StaticConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestCacheEliminatesRepeatedStaticSolves(t *testing.T) {
 	}
 
 	// The cached constructor must agree with the uncached one.
-	plain, err := NewOptFT(prog, pr.DB)
+	plain, err := NewOptFTStatic(prog, pr.DB, nil, StaticConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestCacheEliminatesRepeatedSliceSolves(t *testing.T) {
 	if opt1.Static.Size() != opt2.Static.Size() || opt1.AT != opt2.AT {
 		t.Error("cached rebuild produced a different slice")
 	}
-	plain, err := NewOptSlice(prog, pr.DB, criterion, 24)
+	plain, err := NewOptSliceStatic(prog, pr.DB, criterion, 24, nil, StaticConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"errors"
-	"fmt"
-
 	"oha/internal/artifacts"
 	"oha/internal/bitset"
 	"oha/internal/ctxs"
@@ -27,26 +24,9 @@ type RaceReport struct {
 	RacyAddrs []interp.Addr
 	// Details carries one representative Race per key.
 	Details []fasttrack.Race
-	// Stats are the interpreter's event counts for the run (including
-	// the rollback re-execution, if any).
-	Stats interp.Stats
 	// FTChecks counts FastTrack read/write metadata operations.
 	FTChecks uint64
-	// CheckEvents counts invariant-check events (optimistic runs).
-	CheckEvents uint64
-	// RolledBack reports that the speculative run mis-speculated and
-	// the results come from the traditional hybrid re-execution.
-	RolledBack bool
-	// Violation is the structured mis-speculation reason when
-	// RolledBack (the first violation the speculative run raised).
-	Violation Violation
-	// Output is the analyzed program's output.
-	Output []int64
-	// IC reports the compiled engine's speculative-dispatch activity
-	// (inline-cache hits/misses/deopts, fused superinstructions). For a
-	// rolled-back run it includes the aborted speculative execution's
-	// counts. Zero under the tree-walking engine.
-	IC interp.ICStats
+	Outcome
 }
 
 // StaticConfig tunes how the static race pipeline is computed. The
@@ -247,34 +227,22 @@ func raceReport(det *fasttrack.Detector, res *interp.Result) *RaceReport {
 		Races:     det.RaceKeys(),
 		RacyAddrs: det.RacyAddrs(),
 		Details:   det.Races(),
-		Stats:     res.Stats,
 		FTChecks:  det.Checks,
-		Output:    res.Output,
-		IC:        res.IC,
+		Outcome:   outcomeOf(res),
 	}
 }
 
 // RunPlain executes without any analysis — the "framework overhead"
 // baseline of Figure 5.
 func RunPlain(prog *ir.Program, e Execution, opts RunOptions) (*interp.Result, error) {
-	cfg := interp.Config{Prog: prog, Inputs: e.Inputs, Choose: e.chooser()}
-	opts.apply(&cfg)
-	return interp.Run(cfg)
+	return execute(interp.Config{Prog: prog}, e, opts)
 }
 
 // RunFastTrack executes under full FastTrack instrumentation (the
 // unoptimized baseline).
 func RunFastTrack(prog *ir.Program, e Execution, opts RunOptions) (*RaceReport, error) {
 	det := fasttrack.New()
-	cfg := interp.Config{
-		Prog:      prog,
-		Inputs:    e.Inputs,
-		Choose:    e.chooser(),
-		Tracer:    det,
-		BlockMask: make([]bool, len(prog.Blocks)),
-	}
-	opts.apply(&cfg)
-	res, err := interp.Run(cfg)
+	res, err := execute(interp.Config{Prog: prog, Tracer: det, BlockMask: make([]bool, len(prog.Blocks))}, e, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -295,21 +263,9 @@ type HybridFT struct {
 	code      *interp.Code
 }
 
-// NewHybridFT runs the sound static analysis.
-func NewHybridFT(prog *ir.Program) (*HybridFT, error) {
-	return NewHybridFTCached(prog, nil)
-}
-
-// NewHybridFTCached is NewHybridFT with static-artifact memoization
-// (nil cache: recompute). The static pipeline runs sequentially; use
-// NewHybridFTStatic to configure parallelism.
-func NewHybridFTCached(prog *ir.Program, cache *artifacts.Cache) (*HybridFT, error) {
-	return NewHybridFTStatic(prog, cache, StaticConfig{Workers: 1})
-}
-
-// NewHybridFTStatic is NewHybridFTCached with an explicit static
-// pipeline configuration. The result is digest-identical for every
-// configuration; only the solve latency changes.
+// NewHybridFTStatic runs the sound static analysis, memoizing static
+// artifacts in cache (nil: recompute). The result is digest-identical
+// for every configuration; only the solve latency changes.
 func NewHybridFTStatic(prog *ir.Program, cache *artifacts.Cache, cfg StaticConfig) (*HybridFT, error) {
 	rs, err := analyzeRaceStatic(prog, nil, cache, cfg)
 	if err != nil {
@@ -325,18 +281,14 @@ func NewHybridFTStatic(prog *ir.Program, cache *artifacts.Cache, cfg StaticConfi
 // Run executes one analysis under the hybrid instrumentation.
 func (h *HybridFT) Run(e Execution, opts RunOptions) (*RaceReport, error) {
 	det := fasttrack.New()
-	cfg := interp.Config{
+	res, err := execute(interp.Config{
 		Prog:      h.Prog,
-		Inputs:    e.Inputs,
-		Choose:    e.chooser(),
 		Tracer:    det,
 		MemMask:   h.rs.mem,
 		SyncMask:  h.rs.sync,
 		BlockMask: h.blockMask,
 		Code:      h.code,
-	}
-	opts.apply(&cfg)
-	res, err := interp.Run(cfg)
+	}, e, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -371,27 +323,15 @@ type OptFT struct {
 	valBlockMask []bool
 }
 
-// NewOptFT runs both static analyses (predicated for speculation,
-// sound for rollback) and prepares masks. The db should already
-// contain a validated ElidableLocks set (see ValidateCustomSync);
-// with an empty set no lock instrumentation is elided.
-func NewOptFT(prog *ir.Program, db *invariants.DB) (*OptFT, error) {
-	return NewOptFTCached(prog, db, nil)
-}
-
-// NewOptFTCached is NewOptFT with static-artifact memoization (nil
-// cache: recompute). Masks and derived state are always private to the
-// returned instance; only the immutable static results are shared. The
-// static pipeline runs sequentially; use NewOptFTStatic to configure
-// parallelism.
-func NewOptFTCached(prog *ir.Program, db *invariants.DB, cache *artifacts.Cache) (*OptFT, error) {
-	return NewOptFTStatic(prog, db, cache, StaticConfig{Workers: 1})
-}
-
-// NewOptFTStatic is NewOptFTCached with an explicit static pipeline
-// configuration (worker count for the parallel solvers). With a warm
-// cache — in particular one prewarmed by inc.Reanalyze after an
-// adaptive refinement — no static solving happens here at all.
+// NewOptFTStatic runs both static analyses (predicated for
+// speculation, sound for rollback) and prepares masks. The db should
+// already contain a validated ElidableLocks set (see
+// ValidateCustomSync); with an empty set no lock instrumentation is
+// elided. Static artifacts are memoized in cache (nil: recompute);
+// masks and derived state are always private to the returned
+// instance. With a warm cache — in particular one prewarmed by
+// inc.Reanalyze after an adaptive refinement — no static solving
+// happens here at all.
 func NewOptFTStatic(prog *ir.Program, db *invariants.DB, cache *artifacts.Cache, cfg StaticConfig) (*OptFT, error) {
 	pred, err := analyzeRaceStatic(prog, db, cache, cfg)
 	if err != nil {
@@ -453,64 +393,31 @@ func (o *OptFT) ElidedAccesses() int {
 // traditional hybrid analysis on invariant violation (or on any race
 // report while lock instrumentation is elided, per §4.2.4).
 func (o *OptFT) Run(e Execution, opts RunOptions) (*RaceReport, error) {
-	abort := &interp.Abort{}
 	det := fasttrack.New()
-	checker := newRaceChecker(o.Prog, o.DB, abort)
-	cfg := interp.Config{
-		Prog:      o.Prog,
-		Inputs:    e.Inputs,
-		Choose:    e.chooser(),
-		Tracer:    &optTracer{det: det, checker: checker, sync: o.pred.sync},
-		MemMask:   o.pred.mem,
-		SyncMask:  o.syncMask,
-		BlockMask: o.blockMask,
-		Code:      o.code,
-		Abort:     abort,
-	}
-	opts.apply(&cfg)
-	res, err := interp.Run(cfg)
-
-	rollback := false
-	var reason Violation
-	switch {
-	case errors.Is(err, interp.ErrAborted):
-		rollback = true
-		reason = checker.first
-		if reason.None() {
-			// The abort came from outside the checker (it owns the
-			// only tracer here, so this is defensive).
-			reason = Violation{Kind: ViolationTraceLimit, Site: -1, Callee: -1, Detail: abort.Reason()}
-		}
-	case err != nil:
-		return nil, err
-	case det.HasRaces() && !o.DB.ElidableLocks.IsEmpty():
-		// Race reports are potential mis-speculations when lock
-		// instrumentation was elided (custom synchronization may have
-		// been missed): re-check under the sound hybrid analysis.
-		rollback = true
-		reason = Violation{Kind: ViolationElidedLockRace, Site: -1, Callee: -1}
-	}
-	if !rollback {
-		rep := raceReport(det, res)
-		rep.CheckEvents = checker.Events
-		opts.observeRace(o, e, rep)
-		return rep, nil
-	}
-
-	// Mis-speculation: roll back and re-execute the same recorded
-	// execution under the traditional hybrid analysis (§2.3).
-	rep, err2 := o.Sound.Run(e, opts)
-	if err2 != nil {
-		return nil, fmt.Errorf("core: rollback re-execution failed: %w", err2)
-	}
-	rep.RolledBack = true
-	rep.Violation = reason
-	rep.CheckEvents = checker.Events
-	// Account for the aborted speculative work too.
-	rep.Stats.Add(res.Stats)
-	rep.IC.Add(res.IC)
-	opts.observeRace(o, e, rep)
-	return rep, nil
+	ck := newRaceChecker(o.Prog, o.DB, &interp.Abort{})
+	return speculation[*RaceReport]{
+		client: raceClient{},
+		cfg: interp.Config{
+			Prog:      o.Prog,
+			Tracer:    &optTracer{det: det, checker: ck, sync: o.pred.sync},
+			MemMask:   o.pred.mem,
+			SyncMask:  o.syncMask,
+			BlockMask: o.blockMask,
+			Code:      o.code,
+		},
+		check: &ck.checker,
+		refute: func() Violation {
+			// Race reports are potential mis-speculations when lock
+			// instrumentation was elided (custom synchronization may
+			// have been missed): re-check under the sound analysis.
+			if det.HasRaces() && !o.DB.ElidableLocks.IsEmpty() {
+				return Violation{Kind: ViolationElidedLockRace, Site: -1, Callee: -1}
+			}
+			return Violation{}
+		},
+		verdict: func(res *interp.Result) *RaceReport { return raceReport(det, res) },
+		sound:   o.Sound.Run,
+	}.run(e, opts)
 }
 
 // ValidateCustomSync performs the iterative no-custom-synchronization
@@ -578,18 +485,14 @@ func (o *OptFT) setElidable(set *bitset.Set) {
 // (possibly false) race reports.
 func (o *OptFT) runWithoutRollback(e Execution, opts RunOptions) (*RaceReport, error) {
 	det := fasttrack.New()
-	cfg := interp.Config{
+	res, err := execute(interp.Config{
 		Prog:      o.Prog,
-		Inputs:    e.Inputs,
-		Choose:    e.chooser(),
 		Tracer:    &ftAdapter{det: det, sync: o.pred.sync},
 		MemMask:   o.pred.mem,
 		SyncMask:  o.pred.sync,
 		BlockMask: o.valBlockMask,
 		Code:      o.valCode,
-	}
-	opts.apply(&cfg)
-	res, err := interp.Run(cfg)
+	}, e, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -629,22 +532,13 @@ func SameRaces(a, b *RaceReport) bool {
 // the ablation baseline for FastTrack's epoch optimization.
 func RunDJIT(prog *ir.Program, e Execution, opts RunOptions) (*RaceReport, error) {
 	det := fasttrack.NewDJIT()
-	cfg := interp.Config{
-		Prog:      prog,
-		Inputs:    e.Inputs,
-		Choose:    e.chooser(),
-		Tracer:    det,
-		BlockMask: make([]bool, len(prog.Blocks)),
-	}
-	opts.apply(&cfg)
-	res, err := interp.Run(cfg)
+	res, err := execute(interp.Config{Prog: prog, Tracer: det, BlockMask: make([]bool, len(prog.Blocks))}, e, opts)
 	if err != nil {
 		return nil, err
 	}
 	return &RaceReport{
 		RacyAddrs: det.RacyAddrs(),
-		Stats:     res.Stats,
 		FTChecks:  det.Checks,
-		Output:    res.Output,
+		Outcome:   Outcome{Stats: res.Stats, Output: res.Output},
 	}, nil
 }

@@ -88,7 +88,7 @@ func sameReports(a, b *RaceReport) bool { return SameRaces(a, b) }
 func TestOptFTEquivalentOnCleanProgram(t *testing.T) {
 	prog := lang.MustCompile(lockedCounter)
 	pr := mustProfile(t, prog, gen(20), 20)
-	o, err := NewOptFT(prog, pr.DB)
+	o, err := NewOptFTStatic(prog, pr.DB, nil, StaticConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestOptFTEquivalentOnCleanProgram(t *testing.T) {
 func TestOptFTStillFindsRealRaces(t *testing.T) {
 	prog := lang.MustCompile(racyProg)
 	pr := mustProfile(t, prog, gen(10), 20)
-	o, err := NewOptFT(prog, pr.DB)
+	o, err := NewOptFTStatic(prog, pr.DB, nil, StaticConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestOptFTRollbackOnLUCViolation(t *testing.T) {
 	prog := lang.MustCompile(pathProg)
 	// Profile only with small inputs: the k>100 branch is LUC.
 	pr := mustProfile(t, prog, gen(5), 20)
-	o, err := NewOptFT(prog, pr.DB)
+	o, err := NewOptFTStatic(prog, pr.DB, nil, StaticConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestOptFTRollbackOnSingletonViolation(t *testing.T) {
 	if !pr.DB.SingletonSpawns.Has(spawnSite.ID) {
 		t.Fatal("test premise broken: spawn site not singleton after profiling")
 	}
-	o, err := NewOptFT(prog, pr.DB)
+	o, err := NewOptFTStatic(prog, pr.DB, nil, StaticConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestOptFTRollbackOnGuardingLockViolation(t *testing.T) {
 	if len(pr.DB.MustAliasLocks) == 0 {
 		t.Fatal("test premise broken: no must-alias pairs profiled")
 	}
-	o, err := NewOptFT(prog, pr.DB)
+	o, err := NewOptFTStatic(prog, pr.DB, nil, StaticConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestCustomSyncValidationRestoresLocks(t *testing.T) {
 	`
 	prog := lang.MustCompile(src)
 	pr := mustProfile(t, prog, gen(), 20)
-	o, err := NewOptFT(prog, pr.DB)
+	o, err := NewOptFTStatic(prog, pr.DB, nil, StaticConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +378,7 @@ func TestCustomSyncElidesWhenSafe(t *testing.T) {
 	// elisions and the optimistic run skips lock instrumentation.
 	prog := lang.MustCompile(lockedCounter)
 	pr := mustProfile(t, prog, gen(10), 20)
-	o, err := NewOptFT(prog, pr.DB)
+	o, err := NewOptFTStatic(prog, pr.DB, nil, StaticConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +413,7 @@ func TestCustomSyncElidesWhenSafe(t *testing.T) {
 func TestHybridLessWorkThanFastTrackMoreThanOpt(t *testing.T) {
 	prog := lang.MustCompile(lockedCounter)
 	pr := mustProfile(t, prog, gen(30), 20)
-	o, err := NewOptFT(prog, pr.DB)
+	o, err := NewOptFTStatic(prog, pr.DB, nil, StaticConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

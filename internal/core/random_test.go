@@ -53,7 +53,7 @@ func TestRandomProgramsOptFTEqualsFastTrack(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: profile: %v", seed, err)
 		}
-		o, err := NewOptFT(prog, pr.DB)
+		o, err := NewOptFTStatic(prog, pr.DB, nil, StaticConfig{})
 		if err != nil {
 			t.Fatalf("seed %d: static: %v", seed, err)
 		}
@@ -115,7 +115,7 @@ func TestRandomProgramsOptSliceEqualsFullGiri(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: profile: %v", seed, err)
 		}
-		opt, err := NewOptSlice(prog, pr.DB, criterion, 512)
+		opt, err := NewOptSliceStatic(prog, pr.DB, criterion, 512, nil, StaticConfig{})
 		if err != nil {
 			t.Fatalf("seed %d: static: %v", seed, err)
 		}
@@ -160,7 +160,7 @@ func TestRandomProgramsPredicatedSubset(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		o, err := NewOptFT(prog, pr.DB)
+		o, err := NewOptFTStatic(prog, pr.DB, nil, StaticConfig{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

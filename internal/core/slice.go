@@ -23,24 +23,14 @@ type SliceReport struct {
 	// Slice is the dynamic backward slice (nil if the criterion never
 	// executed).
 	Slice *dynslice.Slice
-	// Stats are the interpreter event counts (including rollback work).
-	Stats interp.Stats
 	// TraceNodes is the number of dynamic trace nodes recorded.
 	TraceNodes int
-	// CheckEvents counts invariant-check events (optimistic runs).
-	CheckEvents uint64
-	// RolledBack / Violation describe a mis-speculation, if any;
-	// Violation is the structured first violation of the speculative
-	// run.
-	RolledBack bool
-	Violation  Violation
-	// Output is the analyzed program's output.
-	Output []int64
-	// IC reports the compiled engine's speculative-dispatch activity
-	// (inline-cache hits/misses/deopts, fused superinstructions). For a
-	// rolled-back run it includes the aborted speculative execution's
-	// counts. Zero under the tree-walking engine.
-	IC interp.ICStats
+	Outcome
+}
+
+// sliceReport is the report of one completed slicing run.
+func sliceReport(tr *dynslice.Tracer, criterion *ir.Instr, res *interp.Result) *SliceReport {
+	return &SliceReport{Slice: tr.Slice(criterion), TraceNodes: tr.NodeCount(), Outcome: outcomeOf(res)}
 }
 
 // SliceAnalysisType names which static discipline a slicer ended up
@@ -195,20 +185,9 @@ type HybridSlicer struct {
 	code      *interp.Code
 }
 
-// NewHybridSlicer runs the sound static slicer (CS if it fits budget,
-// else CI) for one criterion.
-func NewHybridSlicer(prog *ir.Program, criterion *ir.Instr, budget int) (*HybridSlicer, error) {
-	return NewHybridSlicerCached(prog, criterion, budget, nil)
-}
-
-// NewHybridSlicerCached is NewHybridSlicer with static-artifact
-// memoization (nil cache: recompute).
-func NewHybridSlicerCached(prog *ir.Program, criterion *ir.Instr, budget int, cache *artifacts.Cache) (*HybridSlicer, error) {
-	return NewHybridSlicerStatic(prog, criterion, budget, cache, StaticConfig{Workers: 1})
-}
-
-// NewHybridSlicerStatic is NewHybridSlicerCached with an explicit
-// static pipeline configuration (worker count, engine toggles).
+// NewHybridSlicerStatic runs the sound static slicer (CS if it fits
+// budget, else CI) for one criterion, memoizing static artifacts in
+// cache (nil: recompute).
 func NewHybridSlicerStatic(prog *ir.Program, criterion *ir.Instr, budget int, cache *artifacts.Cache, cfg StaticConfig) (*HybridSlicer, error) {
 	ss, err := staticSliceFor(prog, nil, criterion, budget, cache)
 	if err != nil {
@@ -233,27 +212,17 @@ func (h *HybridSlicer) Run(e Execution, opts RunOptions) (*SliceReport, error) {
 	if h.MaxTraceNodes > 0 {
 		tr.MaxNodes = h.MaxTraceNodes
 	}
-	cfg := interp.Config{
+	res, err := execute(interp.Config{
 		Prog:      h.Prog,
-		Inputs:    e.Inputs,
-		Choose:    e.chooser(),
 		Tracer:    tr,
 		ExecMask:  h.execMask,
 		BlockMask: h.blockMask,
 		Code:      h.code,
-	}
-	opts.apply(&cfg)
-	res, err := interp.Run(cfg)
+	}, e, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &SliceReport{
-		Slice:      tr.Slice(h.Criterion),
-		Stats:      res.Stats,
-		TraceNodes: tr.NodeCount(),
-		Output:     res.Output,
-		IC:         res.IC,
-	}, nil
+	return sliceReport(tr, h.Criterion, res), nil
 }
 
 // RunFullGiri traces every instruction (pure dynamic slicing). It
@@ -267,27 +236,17 @@ func RunFullGiri(prog *ir.Program, criterion *ir.Instr, e Execution, opts RunOpt
 	if maxNodes > 0 {
 		tr.MaxNodes = maxNodes
 	}
-	cfg := interp.Config{
+	res, err := execute(interp.Config{
 		Prog:      prog,
-		Inputs:    e.Inputs,
-		Choose:    e.chooser(),
 		Tracer:    tr,
 		ExecAll:   true,
 		BlockMask: make([]bool, len(prog.Blocks)),
 		Abort:     abort,
-	}
-	opts.apply(&cfg)
-	res, err := interp.Run(cfg)
+	}, e, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &SliceReport{
-		Slice:      tr.Slice(criterion),
-		Stats:      res.Stats,
-		TraceNodes: tr.NodeCount(),
-		Output:     res.Output,
-		IC:         res.IC,
-	}, nil
+	return sliceReport(tr, criterion, res), nil
 }
 
 // OptSlice is the optimistic hybrid slicer (§5): the dynamic slicer
@@ -300,8 +259,6 @@ type OptSlice struct {
 	Static    *staticslice.Slice
 	AT        SliceAnalysisType
 	Sound     *HybridSlicer
-	// MaxTraceNodes bounds the dynamic trace (0: dynslice default).
-	MaxTraceNodes int
 
 	execMask  []bool
 	blockMask []bool
@@ -313,23 +270,18 @@ type OptSlice struct {
 	NoBloom bool
 }
 
-// NewOptSlice runs the predicated static slicer (context-sensitive
-// with the likely-unused-call-contexts restriction when it fits the
-// budget) and prepares the sound fallback.
-func NewOptSlice(prog *ir.Program, db *invariants.DB, criterion *ir.Instr, budget int) (*OptSlice, error) {
-	return NewOptSliceCached(prog, db, criterion, budget, nil)
-}
-
-// NewOptSliceCached is NewOptSlice with static-artifact memoization
-// (nil cache: recompute). Masks are private to the returned instance;
-// the static slices are shared cached values and must not be mutated.
+// NewOptSliceCached is NewOptSliceStatic with the sequential static
+// configuration (the benchmark's replay builds its slicers this way).
 func NewOptSliceCached(prog *ir.Program, db *invariants.DB, criterion *ir.Instr, budget int, cache *artifacts.Cache) (*OptSlice, error) {
 	return NewOptSliceStatic(prog, db, criterion, budget, cache, StaticConfig{Workers: 1})
 }
 
-// NewOptSliceStatic is NewOptSliceCached with an explicit static
-// pipeline configuration (worker count for the parallel solvers,
-// inline-cache/fusion engine toggles).
+// NewOptSliceStatic runs the predicated static slicer
+// (context-sensitive with the likely-unused-call-contexts restriction
+// when it fits the budget) and prepares the sound fallback, memoizing
+// static artifacts in cache (nil: recompute). Masks are private to the
+// returned instance; the static slices are shared cached values and
+// must not be mutated.
 func NewOptSliceStatic(prog *ir.Program, db *invariants.DB, criterion *ir.Instr, budget int, cache *artifacts.Cache, cfg StaticConfig) (*OptSlice, error) {
 	ss, err := staticSliceFor(prog, db, criterion, budget, cache)
 	if err != nil {
@@ -372,57 +324,21 @@ func (o *OptSlice) CodeDigest() string { return o.code.ConfigDigest() }
 func (o *OptSlice) Run(e Execution, opts RunOptions) (*SliceReport, error) {
 	abort := &interp.Abort{}
 	tr := dynslice.New(o.Prog, abort)
-	if o.MaxTraceNodes > 0 {
-		tr.MaxNodes = o.MaxTraceNodes
-	}
-	checker := newSliceChecker(o.Prog, o.DB, o.checkCtx, abort)
+	ck := newSliceChecker(o.Prog, o.DB, o.checkCtx, abort)
 	if o.NoBloom {
-		checker.disableBloom()
+		ck.ctxBloom = nil
 	}
-	cfg := interp.Config{
-		Prog:      o.Prog,
-		Inputs:    e.Inputs,
-		Choose:    e.chooser(),
-		Tracer:    interp.MultiTracer{tr, checker},
-		ExecMask:  o.execMask,
-		BlockMask: o.blockMask,
-		Code:      o.code,
-		Abort:     abort,
-	}
-	opts.apply(&cfg)
-	res, err := interp.Run(cfg)
-
-	if errors.Is(err, interp.ErrAborted) {
-		// Mis-speculation: roll back, re-execute under the sound
-		// hybrid slicer.
-		rep, err2 := o.Sound.Run(e, opts)
-		if err2 != nil {
-			return nil, fmt.Errorf("core: rollback re-execution failed: %w", err2)
-		}
-		rep.RolledBack = true
-		rep.Violation = checker.first
-		if rep.Violation.None() {
-			// The abort was raised by the slicer's trace-node limit,
-			// not an invariant check.
-			rep.Violation = Violation{Kind: ViolationTraceLimit, Site: -1, Callee: -1, Detail: abort.Reason()}
-		}
-		rep.CheckEvents = checker.Events
-		rep.Stats.Add(res.Stats)
-		rep.IC.Add(res.IC)
-		opts.observeSlice(o, e, rep)
-		return rep, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	rep := &SliceReport{
-		Slice:       tr.Slice(o.Criterion),
-		Stats:       res.Stats,
-		TraceNodes:  tr.NodeCount(),
-		CheckEvents: checker.Events,
-		Output:      res.Output,
-		IC:          res.IC,
-	}
-	opts.observeSlice(o, e, rep)
-	return rep, nil
+	return speculation[*SliceReport]{
+		client: sliceClient{},
+		cfg: interp.Config{
+			Prog:      o.Prog,
+			Tracer:    interp.MultiTracer{tr, ck},
+			ExecMask:  o.execMask,
+			BlockMask: o.blockMask,
+			Code:      o.code,
+		},
+		check:   &ck.checker,
+		verdict: func(res *interp.Result) *SliceReport { return sliceReport(tr, o.Criterion, res) },
+		sound:   o.Sound.Run,
+	}.run(e, opts)
 }

@@ -68,14 +68,14 @@ func TestOptSliceEquivalentAndCheaper(t *testing.T) {
 		return Execution{Inputs: commonInputs(), Seed: uint64(run + 1)}
 	}, 20)
 
-	opt, err := NewOptSlice(prog, pr.DB, criterion, 4096)
+	opt, err := NewOptSliceStatic(prog, pr.DB, criterion, 4096, nil, StaticConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Table-2 configuration: the traditional hybrid slicer only scales
 	// to a context-insensitive analysis (budget 1 forces the CI
 	// fallback); the predicated analysis runs context-sensitively.
-	hy, err := NewHybridSlicer(prog, criterion, 1)
+	hy, err := NewHybridSlicerStatic(prog, criterion, 1, nil, StaticConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestOptSliceRollbackOnCalleeViolation(t *testing.T) {
 	pr := mustProfile(t, prog, func(run int) Execution {
 		return Execution{Inputs: commonInputs(), Seed: uint64(run + 1)}
 	}, 20)
-	opt, err := NewOptSlice(prog, pr.DB, criterion, 4096)
+	opt, err := NewOptSliceStatic(prog, pr.DB, criterion, 4096, nil, StaticConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestOptSliceRollbackOnLUCViolation(t *testing.T) {
 	pr := mustProfile(t, prog, func(run int) Execution {
 		return Execution{Inputs: []int64{3, 9}, Seed: uint64(run + 1)}
 	}, 10)
-	opt, err := NewOptSlice(prog, pr.DB, criterion, 4096)
+	opt, err := NewOptSliceStatic(prog, pr.DB, criterion, 4096, nil, StaticConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestContextRestrictionUnlocksCS(t *testing.T) {
 	budget := 24
 
 	// Sound analysis: CS fails at this budget, falls back to CI.
-	hy, err := NewHybridSlicer(prog, criterion, budget)
+	hy, err := NewHybridSlicerStatic(prog, criterion, budget, nil, StaticConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestContextRestrictionUnlocksCS(t *testing.T) {
 	pr := mustProfile(t, prog, func(run int) Execution {
 		return Execution{Inputs: []int64{int64(run), 0}, Seed: uint64(run + 1)}
 	}, 10)
-	opt, err := NewOptSlice(prog, pr.DB, criterion, budget)
+	opt, err := NewOptSliceStatic(prog, pr.DB, criterion, budget, nil, StaticConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestFullGiriExhaustsOnLongRuns(t *testing.T) {
 		t.Fatal("full tracing did not exhaust the node budget")
 	}
 	// The hybrid slicer handles the same execution fine.
-	hy, err := NewHybridSlicer(prog, criterion, 4096)
+	hy, err := NewHybridSlicerStatic(prog, criterion, 4096, nil, StaticConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestSliceOfUnexecutedCriterion(t *testing.T) {
 			break
 		}
 	}
-	hy, err := NewHybridSlicer(prog, first, 4096)
+	hy, err := NewHybridSlicerStatic(prog, first, 4096, nil, StaticConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ var bothEngines = []struct {
 func TestViolationInSpawnedThread(t *testing.T) {
 	prog := lang.MustCompile(pathProg)
 	pr := mustProfile(t, prog, gen(5), 20)
-	o, err := NewOptFT(prog, pr.DB)
+	o, err := NewOptFTStatic(prog, pr.DB, nil, StaticConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestViolationPreservedAcrossRollbackReplay(t *testing.T) {
 	`
 	prog := lang.MustCompile(src)
 	pr := mustProfile(t, prog, gen(1), 20)
-	o, err := NewOptFT(prog, pr.DB)
+	o, err := NewOptFTStatic(prog, pr.DB, nil, StaticConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestFirstOfTwoViolationsWins(t *testing.T) {
 	if len(pr.DB.MustAliasLocks) == 0 {
 		t.Fatal("test premise broken: no must-alias pairs profiled")
 	}
-	o, err := NewOptFT(prog, pr.DB)
+	o, err := NewOptFTStatic(prog, pr.DB, nil, StaticConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestSliceFirstViolationAcrossEngines(t *testing.T) {
 			criterion = in
 		}
 	}
-	o, err := NewOptSlice(prog, pr.DB, criterion, 512)
+	o, err := NewOptSliceStatic(prog, pr.DB, criterion, 512, nil, StaticConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

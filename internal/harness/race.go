@@ -57,14 +57,14 @@ func setupRace(w *workloads.Workload, e *env) (*raceSetup, error) {
 	}
 	s := &raceSetup{w: w, pr: pr, profileSec: profSec}
 	s.soundSec, err = e.timed(func() error {
-		_, err := core.NewHybridFTCached(w.Prog(), e.opts.Cache)
+		_, err := core.NewHybridFTStatic(w.Prog(), e.opts.Cache, core.StaticConfig{Workers: 1})
 		return err
 	})
 	if err != nil {
 		return nil, fmt.Errorf("%s: sound static: %w", w.Name, err)
 	}
 	s.predSec, err = e.timed(func() error {
-		o, err := core.NewOptFTCached(w.Prog(), pr.DB, e.opts.Cache)
+		o, err := core.NewOptFTStatic(w.Prog(), pr.DB, e.opts.Cache, core.StaticConfig{Workers: 1})
 		if err != nil {
 			return err
 		}

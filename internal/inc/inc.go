@@ -19,7 +19,7 @@
 // one object numbering. Internal consistency of the bundle is what
 // makes the incremental diffs valid; the individual per-kind artifacts
 // are also published so the ordinary cached constructors
-// (core.NewOptFTCached etc.) hit them for free.
+// (core.NewOptFTStatic etc.) hit them for free.
 //
 // Every incremental or parallel result is digest-identical to the
 // sequential from-scratch result — verified exhaustively by this
@@ -121,7 +121,7 @@ func solverStateKey(prog *ir.Program, db *invariants.DB) string {
 // incremental resume from oldDB's saturated solver state, and a
 // parallel from-scratch solve. The resulting per-kind artifacts and
 // the generation bundle are published to the cache under newDB's
-// digest, so subsequent detector construction (core.NewOptFTCached and
+// digest, so subsequent detector construction (core.NewOptFTStatic and
 // friends) and the NEXT refinement's resume both hit.
 func Reanalyze(prog *ir.Program, oldDB, newDB *invariants.DB, cache *artifacts.Cache, opts Options) (*Generation, Stats, error) {
 	st := Stats{Phases: map[string]float64{}}

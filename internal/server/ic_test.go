@@ -2,6 +2,7 @@ package server
 
 import (
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -82,5 +83,59 @@ func TestServerICMetricsWarmJob(t *testing.T) {
 	}
 	if spec.Dispatch["ic_hits"] == 0 || spec.Dispatch["fused_instructions"] == 0 {
 		t.Fatalf("/speculation dispatch counters not surfaced: %v", spec.Dispatch)
+	}
+}
+
+// TestServerPlainSliceHonorsStaticConfig: a plain (non-adaptive) slice
+// job must build its slicer under the daemon's static configuration.
+// The job's rollback re-execution is the sound hybrid slicer, the only
+// slicing run that arms the engine's fast path; a fast-path-armed run
+// counts every delivered event as hit or slow. Under NoFastPath
+// nothing is armed, so both slice counters stay at 0.
+func TestServerPlainSliceHonorsStaticConfig(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 1, QueueSize: 8, JobTimeout: 30 * time.Second, NoFastPath: true})
+	id := c.submitProgram(adaptSrc)
+	_, profID := c.submitJob(JobRequest{
+		Kind: "profile", ProgramID: id, Inputs: []int64{5}, Runs: 8, SaveAs: "slice-static",
+	})
+	c.awaitDone(profID)
+
+	_, sliceID := c.submitJob(JobRequest{
+		Kind: "slice", ProgramID: id, Inputs: []int64{500}, InvariantsID: "slice-static",
+	})
+	if res := c.awaitDone(sliceID); !res["rolled_back"].(bool) {
+		t.Fatalf("slice job did not roll back: %v", res)
+	}
+	_, mx := c.text("/metrics")
+	for _, name := range []string{"oha_trace_fastpath_hits_total", "oha_trace_fastpath_slow_total"} {
+		if v := metricValue(t, mx, name+`{client="slice"}`); v != 0 {
+			t.Fatalf("NoFastPath daemon armed the slice fast path: %s = %v", name, v)
+		}
+	}
+}
+
+// TestServerFastPathMetricsClientLabel: the fast-path counters label a
+// nullcheck job with the client's registered name, the label every
+// other per-client family uses.
+func TestServerFastPathMetricsClientLabel(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 1, QueueSize: 8, JobTimeout: 30 * time.Second})
+	id := c.submitProgram(nullSrc)
+	_, profID := c.submitJob(JobRequest{
+		Kind: "profile", ProgramID: id, Inputs: []int64{50, 500}, Runs: 8, SaveAs: "null-label",
+	})
+	c.awaitDone(profID)
+	_, nullID := c.submitJob(JobRequest{
+		Kind: "nullcheck", ProgramID: id, Inputs: []int64{50, 500}, InvariantsID: "null-label",
+	})
+	c.awaitDone(nullID)
+
+	_, mx := c.text("/metrics")
+	for _, name := range []string{"oha_trace_fastpath_hits_total", "oha_trace_fastpath_slow_total"} {
+		if !strings.Contains(mx, name+`{client="nullcheck"}`) {
+			t.Fatalf("%s has no client=\"nullcheck\" series:\n%s", name, mx)
+		}
+		if strings.Contains(mx, name+`{client="null"}`) {
+			t.Fatalf("%s still has a client=\"null\" series:\n%s", name, mx)
+		}
 	}
 }

@@ -27,11 +27,13 @@
 //	GET  /healthz                liveness (503 when draining)
 //	GET  /metrics                Prometheus text exposition
 //
-// Adaptive speculation: a race or slice job with "adapt": true routes
-// through a per-(program, invariant DB version) adapt.Manager — on a
-// mis-speculation the violated fact is refined away, the predicated
-// artifacts re-solve through the shared cache, and the job retries
-// under the new generation. PUT/merge of invariants accept a ?program=
+// Adaptive speculation: a race, slice or nullcheck job with "adapt":
+// true routes through a per-(program, invariant DB version)
+// adapt.Manager — on a mis-speculation the violated fact is refined
+// away, the predicated artifacts re-solve through the shared cache, and
+// the job retries under the new generation. All three kinds share one
+// job path (analyze); only baseline selection and result shaping are
+// per client. PUT/merge of invariants accept a ?program=
 // digest binding; merging databases profiled from different programs
 // is rejected with 409 Conflict.
 package server
@@ -492,21 +494,28 @@ type ProfileJobResult struct {
 	Counts       invariants.Counts `json:"counts"`
 }
 
-// RaceJobResult is the result payload of a race job.
-type RaceJobResult struct {
-	Races      []string `json:"races"`
-	RolledBack bool     `json:"rolled_back"`
+// Speculation is the part of a job result every optimistic client
+// shares: whether the authoritative run rolled back and why, and the
+// adaptive generation and attempt count that produced it.
+type Speculation struct {
+	RolledBack bool `json:"rolled_back"`
 	// Violation is the display string; ViolationKind/ViolationSite the
 	// structured record (empty / absent without a rollback).
-	Violation       string             `json:"violation,omitempty"`
-	ViolationKind   core.ViolationKind `json:"violation_kind,omitempty"`
-	ViolationSite   int                `json:"violation_site,omitempty"`
-	Generation      int                `json:"generation,omitempty"`
-	Attempts        int                `json:"attempts,omitempty"`
-	InstrumentedOps uint64             `json:"instrumented_ops"`
-	FTChecks        uint64             `json:"ft_checks"`
-	CheckEvents     uint64             `json:"check_events"`
-	Output          []int64            `json:"output"`
+	Violation     string             `json:"violation,omitempty"`
+	ViolationKind core.ViolationKind `json:"violation_kind,omitempty"`
+	ViolationSite int                `json:"violation_site,omitempty"`
+	Generation    int                `json:"generation,omitempty"`
+	Attempts      int                `json:"attempts,omitempty"`
+}
+
+// RaceJobResult is the result payload of a race job.
+type RaceJobResult struct {
+	Races []string `json:"races"`
+	Speculation
+	InstrumentedOps uint64  `json:"instrumented_ops"`
+	FTChecks        uint64  `json:"ft_checks"`
+	CheckEvents     uint64  `json:"check_events"`
+	Output          []int64 `json:"output"`
 }
 
 // SliceJobResult is the result payload of a slice job.
@@ -518,31 +527,17 @@ type SliceJobResult struct {
 	DynNodes       int    `json:"dyn_nodes"`
 	TraceNodes     int    `json:"trace_nodes"`
 	// Lines are the source lines in the slice, ascending.
-	Lines      []int `json:"lines"`
-	RolledBack bool  `json:"rolled_back"`
-	// Violation is the display string; ViolationKind/ViolationSite the
-	// structured record (empty / absent without a rollback).
-	Violation     string             `json:"violation,omitempty"`
-	ViolationKind core.ViolationKind `json:"violation_kind,omitempty"`
-	ViolationSite int                `json:"violation_site,omitempty"`
-	Generation    int                `json:"generation,omitempty"`
-	Attempts      int                `json:"attempts,omitempty"`
+	Lines []int `json:"lines"`
+	Speculation
 }
 
 // NullJobResult is the result payload of a nullcheck job.
 type NullJobResult struct {
 	// NilSites are the deref sites (instruction IDs) observed accessing
 	// nil, the client's verdict; NilDerefs the total occurrence count.
-	NilSites   []int  `json:"nil_sites"`
-	NilDerefs  uint64 `json:"nil_derefs"`
-	RolledBack bool   `json:"rolled_back"`
-	// Violation is the display string; ViolationKind/ViolationSite the
-	// structured record (empty / absent without a rollback).
-	Violation     string             `json:"violation,omitempty"`
-	ViolationKind core.ViolationKind `json:"violation_kind,omitempty"`
-	ViolationSite int                `json:"violation_site,omitempty"`
-	Generation    int                `json:"generation,omitempty"`
-	Attempts      int                `json:"attempts,omitempty"`
+	NilSites  []int  `json:"nil_sites"`
+	NilDerefs uint64 `json:"nil_derefs"`
+	Speculation
 	// DischargedChecks / DerefSites describe the static phase;
 	// CheckedDerefs counts the residual checks actually executed.
 	DischargedChecks int     `json:"discharged_checks"`
@@ -684,7 +679,7 @@ func (s *Server) runOpts(ctx context.Context) core.RunOptions {
 
 // observeIC folds one run's speculative-dispatch and fast-path
 // counters into the daemon-wide metrics; client labels the analysis
-// (race/null/slice) the run served.
+// client (core.Client.Name) the run served.
 func (s *Server) observeIC(client string, ic interp.ICStats) {
 	s.icHits.Add(ic.Hits)
 	s.icMisses.Add(ic.Misses)
@@ -908,63 +903,88 @@ func (s *Server) profileJob(sp *StoredProgram, req JobRequest) func(ctx context.
 	}
 }
 
+// analyze runs one analysis job down the path race, slice and nullcheck
+// jobs share. A baseline job runs the client's unoptimized analysis
+// (nil: the client has none). An adaptive job runs the refine-and-retry
+// loop over the detectors adaptive returns, hands a reconcile still
+// pending to a refine job, and publishes the generation; otherwise
+// plain builds the detector for the job's invariant DB. Every run's
+// dispatch counters feed the metrics under the client's name.
+func analyze[R core.Report, D core.Detector[R]](s *Server, ctx context.Context, sp *StoredProgram, req JobRequest,
+	baseline func(*ir.Program, core.Execution, core.RunOptions) (R, error),
+	adaptive func(*adapt.Manager) (D, int, error), plain func(*invariants.DB) (D, error),
+) (R, Speculation, error) {
+	var rep R
+	client, ok := core.ClientByName(string(req.Kind))
+	if !ok {
+		return rep, Speculation{}, fmt.Errorf("no analysis client serves job kind %q", req.Kind)
+	}
+	e := core.Execution{Inputs: req.Inputs, Seed: req.Seed}
+	generation, attempts := 0, 0
+	switch {
+	case req.Baseline && baseline != nil:
+		var err error
+		if rep, err = baseline(sp.Prog, e, s.runOpts(ctx)); err != nil {
+			return rep, Speculation{}, err
+		}
+	case req.Adapt:
+		m, err := s.adapter(sp, req)
+		if err != nil {
+			return rep, Speculation{}, err
+		}
+		tries, err := adapt.Run[R](m, func() (D, int, error) { return adaptive(m) }, e, s.runOpts(ctx))
+		if err != nil {
+			return rep, Speculation{}, err
+		}
+		if m.Pending() {
+			s.submitRefine(m, req.InvariantsID, sp.ID)
+		}
+		s.notifyGeneration(req.InvariantsID, sp.ID, m)
+		for _, t := range tries[:len(tries)-1] {
+			s.observeIC(client.Name(), t.Report.Common().IC)
+		}
+		last := tries[len(tries)-1]
+		rep, generation, attempts = last.Report, last.Generation, len(tries)
+	default:
+		db, _, err := s.resolveDB(req)
+		if err != nil {
+			return rep, Speculation{}, err
+		}
+		det, err := plain(db)
+		if err != nil {
+			return rep, Speculation{}, err
+		}
+		if rep, err = det.Run(e, s.runOpts(ctx)); err != nil {
+			return rep, Speculation{}, err
+		}
+	}
+	out := rep.Common()
+	s.observeIC(client.Name(), out.IC)
+	return rep, Speculation{
+		RolledBack:    out.RolledBack,
+		Violation:     out.Violation.String(),
+		ViolationKind: out.Violation.Kind,
+		ViolationSite: out.Violation.Site,
+		Generation:    generation,
+		Attempts:      attempts,
+	}, nil
+}
+
 func (s *Server) raceJob(sp *StoredProgram, req JobRequest) func(ctx context.Context) (any, error) {
 	return func(ctx context.Context) (any, error) {
-		e := core.Execution{Inputs: req.Inputs, Seed: req.Seed}
-		var rep *core.RaceReport
-		generation, attempts := 0, 0
-		switch {
-		case req.Baseline:
-			var err error
-			rep, err = core.RunFastTrack(sp.Prog, e, s.runOpts(ctx))
-			if err != nil {
-				return nil, err
-			}
-		case req.Adapt:
-			m, err := s.adapter(sp, req)
-			if err != nil {
-				return nil, err
-			}
-			tries, err := m.RunRace(e, s.runOpts(ctx))
-			if err != nil {
-				return nil, err
-			}
-			if m.Pending() {
-				s.submitRefine(m, req.InvariantsID, sp.ID)
-			}
-			s.notifyGeneration(req.InvariantsID, sp.ID, m)
-			for _, t := range tries[:len(tries)-1] {
-				s.observeIC("race", t.Report.IC)
-			}
-			last := tries[len(tries)-1]
-			rep, generation, attempts = last.Report, last.Generation, len(tries)
-		default:
-			db, _, err := s.resolveDB(req)
-			if err != nil {
-				return nil, err
-			}
-			det, err := core.NewOptFTStatic(sp.Prog, db, s.cache, s.static)
-			if err != nil {
-				return nil, err
-			}
-			rep, err = det.Run(e, s.runOpts(ctx))
-			if err != nil {
-				return nil, err
-			}
+		rep, spec, err := analyze(s, ctx, sp, req, core.RunFastTrack, (*adapt.Manager).Race, func(db *invariants.DB) (*core.OptFT, error) {
+			return core.NewOptFTStatic(sp.Prog, db, s.cache, s.static)
+		})
+		if err != nil {
+			return nil, err
 		}
-		s.observeIC("race", rep.IC)
 		races := make([]string, 0, len(rep.Details))
 		for _, rc := range rep.Details {
 			races = append(races, rc.String())
 		}
 		return RaceJobResult{
 			Races:           races,
-			RolledBack:      rep.RolledBack,
-			Violation:       rep.Violation.String(),
-			ViolationKind:   rep.Violation.Kind,
-			ViolationSite:   rep.Violation.Site,
-			Generation:      generation,
-			Attempts:        attempts,
+			Speculation:     spec,
 			InstrumentedOps: rep.Stats.InstrumentedOps(),
 			FTChecks:        rep.FTChecks,
 			CheckEvents:     rep.CheckEvents,
@@ -975,58 +995,16 @@ func (s *Server) raceJob(sp *StoredProgram, req JobRequest) func(ctx context.Con
 
 func (s *Server) nullJob(sp *StoredProgram, req JobRequest) func(ctx context.Context) (any, error) {
 	return func(ctx context.Context) (any, error) {
-		e := core.Execution{Inputs: req.Inputs, Seed: req.Seed}
-		var rep *core.NullReport
-		generation, attempts := 0, 0
-		switch {
-		case req.Baseline:
-			var err error
-			rep, err = core.RunNullAlways(sp.Prog, e, s.runOpts(ctx))
-			if err != nil {
-				return nil, err
-			}
-		case req.Adapt:
-			m, err := s.adapter(sp, req)
-			if err != nil {
-				return nil, err
-			}
-			tries, err := m.RunNull(e, s.runOpts(ctx))
-			if err != nil {
-				return nil, err
-			}
-			if m.Pending() {
-				s.submitRefine(m, req.InvariantsID, sp.ID)
-			}
-			s.notifyGeneration(req.InvariantsID, sp.ID, m)
-			for _, t := range tries[:len(tries)-1] {
-				s.observeIC("null", t.Report.IC)
-			}
-			last := tries[len(tries)-1]
-			rep, generation, attempts = last.Report, last.Generation, len(tries)
-		default:
-			db, _, err := s.resolveDB(req)
-			if err != nil {
-				return nil, err
-			}
-			det, err := core.NewOptNullStatic(sp.Prog, db, s.cache, s.static)
-			if err != nil {
-				return nil, err
-			}
-			rep, err = det.Run(e, s.runOpts(ctx))
-			if err != nil {
-				return nil, err
-			}
+		rep, spec, err := analyze(s, ctx, sp, req, core.RunNullAlways, (*adapt.Manager).Null, func(db *invariants.DB) (*core.OptNull, error) {
+			return core.NewOptNullStatic(sp.Prog, db, s.cache, s.static)
+		})
+		if err != nil {
+			return nil, err
 		}
-		s.observeIC("null", rep.IC)
 		return NullJobResult{
 			NilSites:         rep.NilSites,
 			NilDerefs:        rep.NilDerefs,
-			RolledBack:       rep.RolledBack,
-			Violation:        rep.Violation.String(),
-			ViolationKind:    rep.Violation.Kind,
-			ViolationSite:    rep.Violation.Site,
-			Generation:       generation,
-			Attempts:         attempts,
+			Speculation:      spec,
 			DischargedChecks: rep.DischargedChecks,
 			DerefSites:       rep.DerefSites,
 			CheckedDerefs:    rep.CheckedDerefs,
@@ -1053,62 +1031,30 @@ func (s *Server) sliceJob(sp *StoredProgram, req JobRequest) func(ctx context.Co
 		if budget <= 0 {
 			budget = 4096
 		}
-		e := core.Execution{Inputs: req.Inputs, Seed: req.Seed}
-		var rep *core.SliceReport
-		var at string
-		generation, attempts := 0, 0
-		if req.Adapt {
-			m, err := s.adapter(sp, req)
-			if err != nil {
-				return nil, err
-			}
-			tries, err := m.RunSlice(prints[idx], budget, e, s.runOpts(ctx))
-			if err != nil {
-				return nil, err
-			}
-			if m.Pending() {
-				s.submitRefine(m, req.InvariantsID, sp.ID)
-			}
-			s.notifyGeneration(req.InvariantsID, sp.ID, m)
-			for _, t := range tries[:len(tries)-1] {
-				s.observeIC("slice", t.Report.IC)
-			}
-			last := tries[len(tries)-1]
-			rep, generation, attempts = last.Report, last.Generation, len(tries)
-			// The memoized slicer for the last attempt's generation
-			// carries the analysis type the report came from.
-			if sl, _, err := m.Slice(prints[idx], budget); err == nil {
-				at = string(sl.AT)
-			}
-		} else {
-			db, _, err := s.resolveDB(req)
-			if err != nil {
-				return nil, err
-			}
-			t := time.Now()
-			sl, err := core.NewOptSliceCached(sp.Prog, db, prints[idx], budget, s.cache)
-			if err != nil {
-				return nil, err
-			}
-			s.incMetrics.ObservePhase("slice", "slice", time.Since(t).Seconds())
-			rep, err = sl.Run(e, s.runOpts(ctx))
-			if err != nil {
-				return nil, err
-			}
-			at = string(sl.AT)
+		// sl is the slicer the report came from; it carries the
+		// analysis type.
+		var sl *core.OptSlice
+		rep, spec, err := analyze[*core.SliceReport](s, ctx, sp, req, nil,
+			func(m *adapt.Manager) (_ *core.OptSlice, gen int, err error) {
+				sl, gen, err = m.Slice(prints[idx], budget)
+				return sl, gen, err
+			},
+			func(db *invariants.DB) (_ *core.OptSlice, err error) {
+				t := time.Now()
+				if sl, err = core.NewOptSliceStatic(sp.Prog, db, prints[idx], budget, s.cache, s.static); err == nil {
+					s.incMetrics.ObservePhase("slice", "slice", time.Since(t).Seconds())
+				}
+				return sl, err
+			})
+		if err != nil {
+			return nil, err
 		}
-		s.observeIC("slice", rep.IC)
 		res := SliceJobResult{
 			CriterionIndex: idx,
 			CriterionLine:  prints[idx].Pos.Line,
-			AnalysisType:   at,
+			AnalysisType:   string(sl.AT),
 			TraceNodes:     rep.TraceNodes,
-			RolledBack:     rep.RolledBack,
-			Violation:      rep.Violation.String(),
-			ViolationKind:  rep.Violation.Kind,
-			ViolationSite:  rep.Violation.Site,
-			Generation:     generation,
-			Attempts:       attempts,
+			Speculation:    spec,
 		}
 		if rep.Slice != nil {
 			res.SliceInstrs = rep.Slice.Size()

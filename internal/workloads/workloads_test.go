@@ -117,7 +117,7 @@ func TestStaticRaceFreedomMatchesPaperGrouping(t *testing.T) {
 	for _, w := range Races() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
-			hy, err := core.NewHybridFT(w.Prog())
+			hy, err := core.NewHybridFTStatic(w.Prog(), nil, core.StaticConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -38,7 +38,7 @@
 //	profile, _ := oha.Profile(prog, func(run int) oha.Execution {
 //	    return oha.Execution{Inputs: inputsFor(run), Seed: uint64(run)}
 //	}, 64)
-//	det, _ := oha.NewRaceDetector(prog, profile.DB)
+//	det, _ := oha.NewRaceDetector(prog, profile.DB, nil, oha.StaticConfig{})
 //	report, _ := det.Run(oha.Execution{Inputs: in, Seed: 1}, oha.RunOptions{})
 //	for _, r := range report.Details { fmt.Println(r) }
 package oha
@@ -103,6 +103,10 @@ type SliceReport = core.SliceReport
 
 // NullReport is the result of one null-checking run.
 type NullReport = core.NullReport
+
+// Report is implemented by every client's report type; Common returns
+// the fields they share (rollback, violation, event counts, output).
+type Report = core.Report
 
 // RaceDetector is OptFT: the optimistic hybrid FastTrack detector.
 type RaceDetector = core.OptFT
@@ -172,23 +176,6 @@ func ProfileCached(prog *Program, gen func(run int) Execution, maxRuns int, cach
 	return core.ProfileWith(prog, gen, core.ProfileOptions{MaxRuns: maxRuns, Cache: cache})
 }
 
-// NewRaceDetector builds OptFT for a program and its profiled
-// invariants: it runs the predicated static race analysis (for
-// elision) and the sound one (for rollback). Call ValidateCustomSync
-// on the result with profiling executions to enable lock-
-// instrumentation elision.
-func NewRaceDetector(prog *Program, db *InvariantDB) (*RaceDetector, error) {
-	return core.NewOptFT(prog, db)
-}
-
-// NewRaceDetectorCached is NewRaceDetector backed by an artifact
-// cache: both static analyses are memoized by (program, invariants)
-// digest, so rebuilding a detector for unchanged inputs skips the
-// static solves.
-func NewRaceDetectorCached(prog *Program, db *InvariantDB, cache *ArtifactCache) (*RaceDetector, error) {
-	return core.NewOptFTCached(prog, db, cache)
-}
-
 // StaticConfig tunes the static-analysis pipeline: the parallel solver
 // worker count (0 = GOMAXPROCS, 1 = sequential), whether adaptive
 // re-analysis may resume incrementally from the previous generation's
@@ -200,19 +187,24 @@ type StaticConfig = core.StaticConfig
 
 // ICStats counts the compiled engine's speculative-dispatch events
 // (inline-cache hits/misses/deopts and fused superinstruction
-// executions) for one analyzed run; RaceReport and SliceReport carry
-// them. Purely diagnostic — never part of the analysis result.
+// executions) for one analyzed run; every report carries them. Purely
+// diagnostic — never part of the analysis result.
 type ICStats = interp.ICStats
 
-// NewRaceDetectorStatic is NewRaceDetectorCached with an explicit
-// static pipeline configuration.
-func NewRaceDetectorStatic(prog *Program, db *InvariantDB, cache *ArtifactCache, cfg StaticConfig) (*RaceDetector, error) {
+// NewRaceDetector builds OptFT for a program and its profiled
+// invariants: it runs the predicated static race analysis (for
+// elision) and the sound one (for rollback). Call ValidateCustomSync
+// on the result with profiling executions to enable lock-
+// instrumentation elision. A non-nil cache memoizes both static
+// analyses by (program, invariants) digest, so rebuilding a detector
+// for unchanged inputs skips the static solves.
+func NewRaceDetector(prog *Program, db *InvariantDB, cache *ArtifactCache, cfg StaticConfig) (*RaceDetector, error) {
 	return core.NewOptFTStatic(prog, db, cache, cfg)
 }
 
 // NewHybridRaceDetector builds the traditional hybrid baseline.
-func NewHybridRaceDetector(prog *Program) (*HybridRaceDetector, error) {
-	return core.NewHybridFT(prog)
+func NewHybridRaceDetector(prog *Program, cache *ArtifactCache, cfg StaticConfig) (*HybridRaceDetector, error) {
+	return core.NewHybridFTStatic(prog, cache, cfg)
 }
 
 // RunFastTrack runs the unoptimized FastTrack baseline on one
@@ -224,52 +216,31 @@ func RunFastTrack(prog *Program, e Execution, opts RunOptions) (*RaceReport, err
 // NewSlicer builds OptSlice for one slice criterion. budget bounds the
 // context-sensitive analysis (clones); when the predicated analysis
 // does not fit, it falls back to a context-insensitive one, as does
-// the sound fallback.
-func NewSlicer(prog *Program, db *InvariantDB, criterion *Instr, budget int) (*Slicer, error) {
-	return core.NewOptSlice(prog, db, criterion, budget)
-}
-
-// NewSlicerCached is NewSlicer backed by an artifact cache.
-func NewSlicerCached(prog *Program, db *InvariantDB, criterion *Instr, budget int, cache *ArtifactCache) (*Slicer, error) {
-	return core.NewOptSliceCached(prog, db, criterion, budget, cache)
-}
-
-// NewSlicerStatic is NewSlicerCached with an explicit static pipeline
-// configuration.
-func NewSlicerStatic(prog *Program, db *InvariantDB, criterion *Instr, budget int, cache *ArtifactCache, cfg StaticConfig) (*Slicer, error) {
+// the sound fallback. A non-nil cache memoizes the static slices.
+func NewSlicer(prog *Program, db *InvariantDB, criterion *Instr, budget int, cache *ArtifactCache, cfg StaticConfig) (*Slicer, error) {
 	return core.NewOptSliceStatic(prog, db, criterion, budget, cache, cfg)
 }
 
 // NewHybridSlicer builds the traditional hybrid slicing baseline.
-func NewHybridSlicer(prog *Program, criterion *Instr, budget int) (*HybridSlicer, error) {
-	return core.NewHybridSlicer(prog, criterion, budget)
+func NewHybridSlicer(prog *Program, criterion *Instr, budget int, cache *ArtifactCache, cfg StaticConfig) (*HybridSlicer, error) {
+	return core.NewHybridSlicerStatic(prog, criterion, budget, cache, cfg)
 }
 
 // NewNullChecker builds OptNull for a program and its profiled
 // invariants: the predicated flow-sensitive non-nullness analysis
 // discharges the dereference sites it proves never see nil, and only
 // the residual sites keep dynamic checks (plus cheap fact checks that
-// trigger rollback when a likely-non-null site observes nil).
-func NewNullChecker(prog *Program, db *InvariantDB) (*NullChecker, error) {
-	return core.NewOptNull(prog, db)
-}
-
-// NewNullCheckerCached is NewNullChecker backed by an artifact cache.
-func NewNullCheckerCached(prog *Program, db *InvariantDB, cache *ArtifactCache) (*NullChecker, error) {
-	return core.NewOptNullCached(prog, db, cache)
-}
-
-// NewNullCheckerStatic is NewNullCheckerCached with an explicit static
-// pipeline configuration.
-func NewNullCheckerStatic(prog *Program, db *InvariantDB, cache *ArtifactCache, cfg StaticConfig) (*NullChecker, error) {
+// trigger rollback when a likely-non-null site observes nil). A
+// non-nil cache memoizes the static proofs.
+func NewNullChecker(prog *Program, db *InvariantDB, cache *ArtifactCache, cfg StaticConfig) (*NullChecker, error) {
 	return core.NewOptNullStatic(prog, db, cache, cfg)
 }
 
 // NewHybridNullChecker builds the traditional hybrid null-checking
 // baseline (sound static discharge only — no likely invariants, no
 // rollback).
-func NewHybridNullChecker(prog *Program) (*HybridNullChecker, error) {
-	return core.NewHybridNull(prog)
+func NewHybridNullChecker(prog *Program, cache *ArtifactCache, cfg StaticConfig) (*HybridNullChecker, error) {
+	return core.NewHybridNullStatic(prog, cache, cfg)
 }
 
 // RunNullAlways runs the unoptimized baseline: every pointer
@@ -315,7 +286,7 @@ func RunDJIT(prog *Program, e Execution, opts RunOptions) (*RaceReport, error) {
 // violated likely-invariant facts out of the database, re-runs the
 // predicated static analysis in the background, and hot-swaps the new
 // generation in — so one mis-speculation never costs a second
-// rollback. Use RunRace/RunSlice for the refine-and-retry loop, or
+// rollback. Use RefineAndRetry for the refine-and-retry loop, or
 // install it as RunOptions.Adapt to only observe.
 type SpeculationManager = adapt.Manager
 
@@ -331,18 +302,17 @@ type SpeculationStatus = adapt.Status
 // GenerationRecord describes one deployed refinement generation.
 type GenerationRecord = adapt.GenerationRecord
 
-// RaceAttempt / SliceAttempt are single-generation attempts within the
-// refine-and-retry loops.
-type RaceAttempt = adapt.RaceAttempt
-
-// SliceAttempt is one generation's slicing attempt.
-type SliceAttempt = adapt.SliceAttempt
-
-// NullAttempt is one generation's null-checking attempt.
-type NullAttempt = adapt.NullAttempt
-
 // NewSpeculationManager returns the adaptive manager for prog with
 // base invariant database db (generation 1).
 func NewSpeculationManager(prog *Program, db *InvariantDB, o SpeculationOptions) *SpeculationManager {
 	return adapt.New(prog, db, o)
+}
+
+// RefineAndRetry runs a manager's refine-and-retry loop for one
+// execution under any client: get returns the current generation's
+// detector (m.Race, m.Null, or a closure over m.Slice). Each attempt
+// records its generation and report; the last report is
+// authoritative.
+func RefineAndRetry[R Report, D core.Detector[R]](m *SpeculationManager, get func() (D, int, error), e Execution, opts RunOptions) ([]adapt.Attempt[R], error) {
+	return adapt.Run[R](m, get, e, opts)
 }

@@ -39,7 +39,7 @@ func TestPublicAPIRacePipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := oha.NewRaceDetector(prog, pr.DB)
+	det, err := oha.NewRaceDetector(prog, pr.DB, nil, oha.StaticConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestPublicAPISlicePipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sl, err := oha.NewSlicer(prog, pr.DB, criterion, 4096)
+	sl, err := oha.NewSlicer(prog, pr.DB, criterion, 4096, nil, oha.StaticConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestPublicAPISlicePipeline(t *testing.T) {
 	if rep.Slice == nil || !rep.Slice.Equal(full.Slice) {
 		t.Fatal("optimistic slice differs from full Giri")
 	}
-	hy, err := oha.NewHybridSlicer(prog, criterion, 4096)
+	hy, err := oha.NewHybridSlicer(prog, criterion, 4096, nil, oha.StaticConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
