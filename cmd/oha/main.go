@@ -21,7 +21,7 @@
 //	    and print the null report: dereference sites that observed nil,
 //	    plus how many checks the predicated static analysis discharged.
 //
-//	oha compile file.ml [-inv invariants.txt] [-ic off] [-fusion off] [-o prog.ohc]
+//	oha compile file.ml [-inv invariants.txt] [-o prog.ohc]
 //	    Ahead-of-time compile to a serialized .ohc image (source +
 //	    bytecode). With -inv, likely callee sets seed the speculative
 //	    inline caches baked into the image.
@@ -40,11 +40,10 @@
 // retries under the new generation (printing a per-generation
 // summary) — the same closed loop `ohad` exposes via /speculation.
 // -engine tree|compiled selects the execution engine (default
-// compiled); results are identical under both. -ic=off disables the
-// compiled engine's speculative inline caches, -fusion=off its
-// superinstruction fusion, and -fastpath=off its devirtualized
-// analysis fast paths — results are identical either way, only
-// dispatch speed changes.
+// compiled); results are identical under both. The compiled engine's
+// lowerings (inline caches seeded from the likely callee sets,
+// superinstruction fusion, analysis fast paths) are not options: the
+// invariant database and the static result decide how a run compiles.
 //
 // Flags may be given before or after the program file. With
 // -cache-dir DIR, static-analysis artifacts persist across
@@ -90,9 +89,6 @@ func main() {
 	engine := fs.String("engine", "compiled", "execution engine: compiled|tree")
 	staticWorkers := fs.Int("static-workers", 0, "parallel static-solver workers (0: GOMAXPROCS, 1: sequential)")
 	incremental := fs.Bool("inc", true, "adapt: resume re-analysis from the previous generation's saturated solver state")
-	icFlag := fs.String("ic", "on", "compiled engine: speculative inline caches at indirect call sites (on|off)")
-	fusionFlag := fs.String("fusion", "on", "compiled engine: superinstruction fusion (on|off)")
-	fastpathFlag := fs.String("fastpath", "on", "compiled engine: inline analysis fast paths (on|off)")
 	remote := fs.String("remote", "", "run against an ohad daemon or fleet node at this base URL; -inv then names a server-side invariant-DB id")
 
 	// Flags may appear before or after the one positional file:
@@ -117,13 +113,10 @@ func main() {
 	// Toolchain subcommands run before anything tries to parse the file
 	// as MiniLang source: `oha dump prog.ohc` takes a binary artifact.
 	if runTool(cmd, file, src, toolOpts{
-		out:      *out,
-		inv:      *inv,
-		noIC:     parseToggle("ic", *icFlag),
-		noFusion: parseToggle("fusion", *fusionFlag),
-		noFast:   parseToggle("fastpath", *fastpathFlag),
-		inputs:   in,
-		seed:     *seed,
+		out:    *out,
+		inv:    *inv,
+		inputs: in,
+		seed:   *seed,
 	}) {
 		return
 	}
@@ -160,9 +153,6 @@ func main() {
 	static := oha.StaticConfig{
 		Workers:     *staticWorkers,
 		Incremental: *incremental,
-		NoIC:        parseToggle("ic", *icFlag),
-		NoFusion:    parseToggle("fusion", *fusionFlag),
-		NoFastPath:  parseToggle("fastpath", *fastpathFlag),
 	}
 
 	switch cmd {
@@ -344,18 +334,6 @@ func loadInv(path string) *oha.InvariantDB {
 	db, err := oha.LoadInvariants(f)
 	check(err)
 	return db
-}
-
-// parseToggle maps an on|off flag to its "disabled" form.
-func parseToggle(name, v string) bool {
-	switch v {
-	case "on":
-		return false
-	case "off":
-		return true
-	}
-	check(fmt.Errorf("bad -%s %q (want on or off)", name, v))
-	return false
 }
 
 func parseInputs(s string) []int64 {

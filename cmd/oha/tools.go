@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"oha"
+	"oha/internal/core"
 	"oha/internal/interp"
 	"oha/internal/ohc"
 	"oha/internal/sched"
@@ -25,13 +26,10 @@ import (
 // toolOpts carries the subset of oha's flags the toolchain commands
 // honor.
 type toolOpts struct {
-	out      string
-	inv      string
-	noIC     bool
-	noFusion bool
-	noFast   bool
-	inputs   []int64
-	seed     uint64
+	out    string
+	inv    string
+	inputs []int64
+	seed   uint64
 }
 
 // runTool dispatches the toolchain subcommands. Returns false if cmd
@@ -51,25 +49,10 @@ func runTool(cmd, file string, src []byte, o toolOpts) bool {
 }
 
 // compileImage builds the full-instrumentation bytecode image with
-// speculative options derived from the optional invariant database:
-// inline-cache seeds come from its likely callee sets (mirroring the
-// images the analysis pipeline itself compiles).
-func compileImage(prog *oha.Program, db *oha.InvariantDB, noIC, noFusion, noFast bool) *interp.Code {
-	opts := interp.CompileOptions{DisableIC: noIC, DisableFusion: noFusion, DisableFastPath: noFast}
-	if db != nil && !noIC {
-		var seeds map[int][]int
-		for site, set := range db.Callees {
-			if set == nil || set.IsEmpty() {
-				continue
-			}
-			if seeds == nil {
-				seeds = make(map[int][]int, len(db.Callees))
-			}
-			seeds[site] = set.Slice()
-		}
-		opts.Callees = seeds
-	}
-	return interp.CompileWith(prog, interp.Masks{}, opts)
+// the options the analysis pipeline derives from the optional invariant
+// database: inline-cache seeds from its likely callee sets.
+func compileImage(prog *oha.Program, db *oha.InvariantDB) *interp.Code {
+	return interp.CompileWith(prog, interp.Masks{}, core.CompileOptionsFor(db))
 }
 
 // isOHC detects a .ohc container by extension or magic.
@@ -77,8 +60,8 @@ func isOHC(file string, src []byte) bool {
 	return strings.HasSuffix(file, ".ohc") || bytes.HasPrefix(src, []byte("OHCPKG"))
 }
 
-// toolCompile: `oha compile file.ml [-inv db.txt] [-ic off] [-fusion
-// off] [-o prog.ohc]` — ahead-of-time compile to a serialized image.
+// toolCompile: `oha compile file.ml [-inv db.txt] [-o prog.ohc]` —
+// ahead-of-time compile to a serialized image.
 func toolCompile(file string, src []byte, o toolOpts) {
 	if isOHC(file, src) {
 		check(fmt.Errorf("%s is already a compiled .ohc artifact", file))
@@ -89,7 +72,7 @@ func toolCompile(file string, src []byte, o toolOpts) {
 	if o.inv != "" {
 		db = loadInv(o.inv)
 	}
-	code := compileImage(prog, db, o.noIC, o.noFusion, o.noFast)
+	code := compileImage(prog, db)
 	out := o.out
 	if out == "" {
 		out = strings.TrimSuffix(file, filepath.Ext(file)) + ".ohc"
@@ -114,7 +97,7 @@ func loadImage(file string, src []byte, o toolOpts) (*oha.Program, string, *inte
 	if o.inv != "" {
 		db = loadInv(o.inv)
 	}
-	return prog, string(src), compileImage(prog, db, o.noIC, o.noFusion, o.noFast)
+	return prog, string(src), compileImage(prog, db)
 }
 
 // toolDump: `oha dump prog.ohc|file.ml` — disassemble the compiled

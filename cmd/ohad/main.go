@@ -11,7 +11,7 @@
 //	     [-cache-entries N] [-cache-bytes N]
 //	     [-cache-max-age 72h] [-cache-max-disk-bytes N] [-cache-prune-interval 1h]
 //	     [-peers host:port,...] [-advertise host:port] [-replicas N]
-//	     [-fastpath on|off] [-pprof]
+//	     [-pprof]
 //
 // Quick start:
 //
@@ -68,7 +68,6 @@ func main() {
 	stateDir := flag.String("state-dir", "", "persist invariant-DB versions under this directory (default: in-memory only)")
 	staticWorkers := flag.Int("static-workers", 0, "parallel static-solver workers (0: GOMAXPROCS, 1: sequential)")
 	incremental := flag.Bool("inc", true, "resume adaptive re-analysis from the previous generation's saturated solver state")
-	fastpath := flag.String("fastpath", "on", "compiled engine: inline analysis fast paths (on|off)")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof profiling handlers under /debug/pprof/")
 	peers := flag.String("peers", "", "fleet mode: static member list, comma-separated host:port (must include -advertise)")
 	advertise := flag.String("advertise", "", "fleet mode: this node's address as spelled in -peers (default: -addr)")
@@ -96,11 +95,6 @@ func main() {
 		StateDir:      *stateDir,
 		StaticWorkers: *staticWorkers,
 		Incremental:   *incremental,
-		NoFastPath:    *fastpath == "off",
-	}
-	if *fastpath != "on" && *fastpath != "off" {
-		fmt.Fprintf(os.Stderr, "ohad: bad -fastpath %q (want on or off)\n", *fastpath)
-		os.Exit(2)
 	}
 
 	var (

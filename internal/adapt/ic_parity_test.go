@@ -70,7 +70,8 @@ const fpRaceProg = `
 `
 
 // TestFastPathParityAcrossRefinement drives the refine-and-retry loop
-// with the engine's inline analysis fast paths on and off, for both
+// under the compiled engine, whose inline analysis fast paths are
+// armed, and under the reference tree-walker, which has none, for both
 // the race client (epoch fast path + memory-event batching) and the
 // slice client (Exec skip classes): attempt sequences, refinement
 // histories, and final verdicts must be identical — the fast paths may
@@ -87,13 +88,13 @@ func TestFastPathParityAcrossRefinement(t *testing.T) {
 		prog := lang.MustCompile(fpRaceProg)
 		pr := profileDB(t, prog, []int64{5}, 20)
 		e := core.Execution{Inputs: []int64{500}, Seed: 3}
-		run := func(noFast bool) (outcome, interp.ICStats) {
+		run := func(engine interp.EngineKind) (outcome, interp.ICStats) {
 			t.Helper()
 			m := New(prog, pr.DB, Options{
 				Cache:  artifacts.New(""),
-				Static: core.StaticConfig{Workers: 1, NoFastPath: noFast},
+				Static: core.StaticConfig{Workers: 1},
 			})
-			tries, err := Run[*core.RaceReport](m, m.Race, e, core.RunOptions{})
+			tries, err := Run[*core.RaceReport](m, m.Race, e, core.RunOptions{Engine: engine})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,8 +113,8 @@ func TestFastPathParityAcrossRefinement(t *testing.T) {
 			}
 			return o, ic
 		}
-		on, onIC := run(false)
-		off, offIC := run(true)
+		on, onIC := run(interp.EngineCompiled)
+		off, offIC := run(interp.EngineTree)
 		if len(on.attempts) < 2 {
 			t.Fatalf("expected a rollback and retry, got attempts %v", on.attempts)
 		}
@@ -130,7 +131,7 @@ func TestFastPathParityAcrossRefinement(t *testing.T) {
 			t.Errorf("fast-path-on adaptive race run recorded no hits: %+v", onIC.FastPath)
 		}
 		if offIC.FastPath != (interp.FastPathStats{}) {
-			t.Errorf("NoFastPath adaptive race run recorded fast-path traffic %+v", offIC.FastPath)
+			t.Errorf("tree-engine adaptive race run recorded fast-path traffic %+v", offIC.FastPath)
 		}
 	})
 
@@ -139,13 +140,13 @@ func TestFastPathParityAcrossRefinement(t *testing.T) {
 		pr := profileDB(t, prog, []int64{0}, 20)
 		criterion := lastPrint(prog)
 		e := core.Execution{Inputs: []int64{3}, Seed: 2}
-		run := func(noFast bool) (outcome, interp.ICStats) {
+		run := func(engine interp.EngineKind) (outcome, interp.ICStats) {
 			t.Helper()
 			m := New(prog, pr.DB, Options{
 				Cache:  artifacts.New(""),
-				Static: core.StaticConfig{Workers: 1, NoFastPath: noFast},
+				Static: core.StaticConfig{Workers: 1},
 			})
-			tries, err := Run[*core.SliceReport](m, slicer(m, criterion, 4096), e, core.RunOptions{})
+			tries, err := Run[*core.SliceReport](m, slicer(m, criterion, 4096), e, core.RunOptions{Engine: engine})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -164,8 +165,8 @@ func TestFastPathParityAcrossRefinement(t *testing.T) {
 			}
 			return o, ic
 		}
-		on, _ := run(false)
-		off, offIC := run(true)
+		on, _ := run(interp.EngineCompiled)
+		off, offIC := run(interp.EngineTree)
 		if fmt.Sprint(on.attempts) != fmt.Sprint(off.attempts) {
 			t.Errorf("attempts diverged:\n on:  %v\n off: %v", on.attempts, off.attempts)
 		}
@@ -176,15 +177,15 @@ func TestFastPathParityAcrossRefinement(t *testing.T) {
 			t.Errorf("final slice diverged:\n on:  %s\n off: %s", on.final, off.final)
 		}
 		if offIC.FastPath != (interp.FastPathStats{}) {
-			t.Errorf("NoFastPath adaptive slice run recorded fast-path traffic %+v", offIC.FastPath)
+			t.Errorf("tree-engine adaptive slice run recorded fast-path traffic %+v", offIC.FastPath)
 		}
 	})
 }
 
 // TestCalleeEscapeParityAcrossConfigs drives the refine-and-retry loop
 // on an execution whose indirect calls escape the speculated callee
-// set, across the full configuration matrix {tree, compiled} ×
-// {IC on, IC off} × {1, 8 static workers}: every configuration must
+// set, across the configuration matrix {tree, compiled} × {1, 8 static
+// workers}: every configuration must
 // produce the identical attempt sequence (violation kinds, sites, and
 // escaping callees), identical refinement histories (generation count
 // and DB digests), and the identical post-refine slice — inline caches
@@ -200,11 +201,11 @@ func TestCalleeEscapeParityAcrossConfigs(t *testing.T) {
 		dbDigests []string
 		slice     string
 	}
-	run := func(engine interp.EngineKind, noIC bool, workers int) (outcome, interp.ICStats) {
+	run := func(engine interp.EngineKind, workers int) (outcome, interp.ICStats) {
 		t.Helper()
 		m := New(prog, pr.DB, Options{
 			Cache:  artifacts.New(""),
-			Static: core.StaticConfig{Workers: workers, NoIC: noIC},
+			Static: core.StaticConfig{Workers: workers},
 		})
 		attempts, err := Run[*core.SliceReport](m, slicer(m, criterion, 4096), e, core.RunOptions{Engine: engine})
 		if err != nil {
@@ -229,7 +230,7 @@ func TestCalleeEscapeParityAcrossConfigs(t *testing.T) {
 		return o, ic
 	}
 
-	ref, refIC := run(interp.EngineCompiled, false, 1)
+	ref, refIC := run(interp.EngineCompiled, 1)
 	if len(ref.attempts) < 2 {
 		t.Fatalf("expected at least one refinement, got attempts %v", ref.attempts)
 	}
@@ -244,26 +245,24 @@ func TestCalleeEscapeParityAcrossConfigs(t *testing.T) {
 	}
 
 	for _, engine := range []interp.EngineKind{interp.EngineTree, interp.EngineCompiled} {
-		for _, noIC := range []bool{false, true} {
-			for _, workers := range []int{1, 8} {
-				got, ic := run(engine, noIC, workers)
-				name := fmt.Sprintf("engine=%v noIC=%v workers=%d", engine, noIC, workers)
-				if fmt.Sprint(got.attempts) != fmt.Sprint(ref.attempts) {
-					t.Errorf("%s: attempts diverged:\n got: %v\n ref: %v", name, got.attempts, ref.attempts)
-				}
-				if fmt.Sprint(got.dbDigests) != fmt.Sprint(ref.dbDigests) {
-					t.Errorf("%s: refinement history diverged:\n got: %v\n ref: %v", name, got.dbDigests, ref.dbDigests)
-				}
-				if got.slice != ref.slice {
-					t.Errorf("%s: post-refine slice diverged:\n got: %v\n ref: %v", name, got.slice, ref.slice)
-				}
-				// ICs exist only in the compiled engine with IC on; the
-				// tree engine and IC-off images must report zero traffic.
-				// (Fusion and the analysis fast paths are independent
-				// optimizations with their own counters.)
-				if (engine == interp.EngineTree || noIC) && ic != (interp.ICStats{Fused: ic.Fused, FastPath: ic.FastPath}) {
-					t.Errorf("%s: unexpected IC traffic %+v", name, ic)
-				}
+		for _, workers := range []int{1, 8} {
+			got, ic := run(engine, workers)
+			name := fmt.Sprintf("engine=%v workers=%d", engine, workers)
+			if fmt.Sprint(got.attempts) != fmt.Sprint(ref.attempts) {
+				t.Errorf("%s: attempts diverged:\n got: %v\n ref: %v", name, got.attempts, ref.attempts)
+			}
+			if fmt.Sprint(got.dbDigests) != fmt.Sprint(ref.dbDigests) {
+				t.Errorf("%s: refinement history diverged:\n got: %v\n ref: %v", name, got.dbDigests, ref.dbDigests)
+			}
+			if got.slice != ref.slice {
+				t.Errorf("%s: post-refine slice diverged:\n got: %v\n ref: %v", name, got.slice, ref.slice)
+			}
+			// ICs exist only in the compiled engine; the tree engine
+			// must report zero traffic. (Fusion and the analysis fast
+			// paths are independent optimizations with their own
+			// counters.)
+			if engine == interp.EngineTree && ic != (interp.ICStats{Fused: ic.Fused, FastPath: ic.FastPath}) {
+				t.Errorf("%s: unexpected IC traffic %+v", name, ic)
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"oha/internal/bloom"
 	"oha/internal/interp"
 	"oha/internal/invariants"
 	"oha/internal/ir"
@@ -14,13 +13,13 @@ import (
 // violation (§2.3). The checks are deliberately cheap — a flag test at
 // a likely-unreachable block, a counter at a spawn site, an address
 // comparison at a paired lock site, a set-inclusion test at an
-// indirect call, and a Bloom-filter-guarded stack check for call
-// contexts (§5.2.3).
+// indirect call, and one hash-set probe per new call context (§5.2.3).
 
 // checker is what every client's invariant checker shares: the run's
 // abort flag, the structured first violation, the check-event count,
-// and the checks of the two invariants more than one predicated static
-// phase assumes — likely-unreachable code and likely callee sets.
+// and the checks of the two invariants every predicated static phase
+// assumes through the predicated points-to — likely-unreachable code
+// and likely callee sets.
 type checker struct {
 	interp.NopTracer
 	abort *interp.Abort
@@ -37,27 +36,29 @@ type checker struct {
 	Events uint64
 }
 
+// newChecker arms the shared checks by the rule the predicated
+// points-to analysis prunes by (pointsto.Analyze): likely-unreachable
+// blocks always, likely callee sets iff db.Callees != nil (a nil map
+// disables the invariant, so nothing was assumed). Armed, an indirect
+// call or spawn violates when its target lies outside the site's
+// profiled set, or when the site has no profiled set at all.
 func newChecker(prog *ir.Program, db *invariants.DB, abort *interp.Abort) checker {
 	c := checker{abort: abort, luc: make([]bool, len(prog.Blocks))}
 	for _, b := range prog.Blocks {
 		c.luc[b.ID] = db.LikelyUnreachable(b.ID)
 	}
-	return c
-}
-
-// watchCallees turns the likely-callee-set check on: an indirect call
-// or spawn violates when its target lies outside the site's profiled
-// set, or when the site has no profiled set at all.
-func (c *checker) watchCallees(db *invariants.DB) {
-	c.calleeSets = make(map[int]map[int]bool, len(db.Callees))
-	for site, set := range db.Callees {
-		m := map[int]bool{}
-		set.ForEach(func(f int) bool {
-			m[f] = true
-			return true
-		})
-		c.calleeSets[site] = m
+	if db.Callees != nil {
+		c.calleeSets = make(map[int]map[int]bool, len(db.Callees))
+		for site, set := range db.Callees {
+			m := map[int]bool{}
+			set.ForEach(func(f int) bool {
+				m[f] = true
+				return true
+			})
+			c.calleeSets[site] = m
+		}
 	}
+	return c
 }
 
 // violate raises the abort flag with v. The structured record follows
@@ -79,8 +80,18 @@ func (c *checker) BlockEnter(_ vc.TID, b *ir.Block) {
 	}
 }
 
+// Call fires the likely-callee-set check at an indirect call site.
+func (c *checker) Call(_ vc.TID, in *ir.Instr, callee *ir.Function, _, _ interp.FrameID) {
+	c.checkCallee(in, callee)
+}
+
+// Spawn fires the likely-callee-set check at an indirect spawn site.
+func (c *checker) Spawn(_ vc.TID, in *ir.Instr, _ vc.TID, _ interp.FrameID, callee *ir.Function) {
+	c.checkCallee(in, callee)
+}
+
 // checkCallee fires the likely-callee-set check at an indirect call or
-// spawn site.
+// spawn site when the check is armed.
 func (c *checker) checkCallee(in *ir.Instr, callee *ir.Function) {
 	if c.calleeSets == nil || !in.IsIndirect() {
 		return
@@ -93,10 +104,10 @@ func (c *checker) checkCallee(in *ir.Instr, callee *ir.Function) {
 }
 
 // raceChecker verifies the OptFT invariants: likely-unreachable code,
-// likely singleton threads, and likely guarding locks. (No custom
-// synchronization is verified by the race detector itself: any race
-// report while locks are elided is treated as a potential
-// mis-speculation.)
+// likely callee sets, likely singleton threads, and likely guarding
+// locks. (No custom synchronization is verified by the race detector
+// itself: any race report while locks are elided is treated as a
+// potential mis-speculation.)
 type raceChecker struct {
 	checker
 
@@ -149,8 +160,9 @@ func newRaceChecker(prog *ir.Program, db *invariants.DB, abort *interp.Abort) *r
 	return c
 }
 
-// Spawn fires the likely-singleton-thread check.
-func (c *raceChecker) Spawn(_ vc.TID, in *ir.Instr, _ vc.TID, _ interp.FrameID, _ *ir.Function) {
+// Spawn fires the likely-callee-set and likely-singleton-thread checks.
+func (c *raceChecker) Spawn(t vc.TID, in *ir.Instr, child vc.TID, f interp.FrameID, callee *ir.Function) {
+	c.checker.Spawn(t, in, child, f, callee)
 	c.Events++
 	if c.spawnOnce[in.ID] {
 		c.spawnCounts[in.ID]++
@@ -197,12 +209,11 @@ type sliceChecker struct {
 
 	checkCtx  bool
 	ctxHashes map[uint64]bool
-	ctxBloom  *bloom.Filter // nil: hash-set lookups only (ablation)
 	stacks    map[vc.TID]*checkStack
 }
 
 // checkStack mirrors the profiler's acyclic context-tracking stack,
-// with incremental hashes for the Bloom fast path.
+// with incremental context hashes so each check is one set probe.
 type checkStack struct {
 	frames []checkFrame
 	active map[int]int
@@ -222,10 +233,8 @@ func newSliceChecker(prog *ir.Program, db *invariants.DB, checkContexts bool, ab
 		checkCtx: checkContexts,
 		stacks:   map[vc.TID]*checkStack{},
 	}
-	c.watchCallees(db)
 	if checkContexts {
 		c.ctxHashes = db.Contexts.HashSet()
-		c.ctxBloom = db.Contexts.Bloom(0.01)
 	}
 	return c
 }
@@ -243,8 +252,8 @@ func (c *sliceChecker) stack(t vc.TID) *checkStack {
 }
 
 // Call fires the likely-callee-set and call-context checks.
-func (c *sliceChecker) Call(t vc.TID, in *ir.Instr, callee *ir.Function, _, _ interp.FrameID) {
-	c.checkCallee(in, callee)
+func (c *sliceChecker) Call(t vc.TID, in *ir.Instr, callee *ir.Function, cr, ce interp.FrameID) {
+	c.checker.Call(t, in, callee, cr, ce)
 	if !c.checkCtx {
 		return
 	}
@@ -261,9 +270,10 @@ func (c *sliceChecker) Call(t vc.TID, in *ir.Instr, callee *ir.Function, _, _ in
 	s.frames = append(s.frames, fr)
 }
 
-// Spawn begins a new thread-root context.
-func (c *sliceChecker) Spawn(t vc.TID, in *ir.Instr, child vc.TID, _ interp.FrameID, callee *ir.Function) {
-	c.checkCallee(in, callee)
+// Spawn fires the likely-callee-set check and begins a new thread-root
+// context.
+func (c *sliceChecker) Spawn(t vc.TID, in *ir.Instr, child vc.TID, f interp.FrameID, callee *ir.Function) {
+	c.checker.Spawn(t, in, child, f, callee)
 	if !c.checkCtx {
 		return
 	}
@@ -279,11 +289,10 @@ func (c *sliceChecker) Spawn(t vc.TID, in *ir.Instr, child vc.TID, _ interp.Fram
 }
 
 // checkContext fires the call-context check on the context path
-// extended at site, whose hash is h: a Bloom prefilter, then the
-// hash-set membership test.
+// extended at site, whose hash is h: one exact hash-set probe.
 func (c *sliceChecker) checkContext(h uint64, site int, path []int) {
 	c.Events++
-	if (c.ctxBloom != nil && !c.ctxBloom.MayContain(h)) || !c.ctxHashes[h] {
+	if !c.ctxHashes[h] {
 		c.violate(Violation{Kind: ViolationCallContext, Site: site, Callee: -1, Path: append([]int(nil), path...)})
 	}
 }

@@ -95,20 +95,33 @@ func ClientForViolation(k ViolationKind) (Client, bool) {
 	return nil, false
 }
 
-// baseFactKey renders the kind@site prefix every client's fact keys
-// share.
-func baseFactKey(v Violation) string {
-	return string(v.Kind) + "@" + strconv.Itoa(v.Site)
-}
+// sharedKinds are the violation kinds of the checks the checker base
+// owns (newChecker): every client's predicated points-to assumes
+// likely-unreachable code and likely callee sets, so every client
+// checks — and refines — both.
+var sharedKinds = []ViolationKind{ViolationUnreachableBlock, ViolationCalleeSet}
 
-// refineShared handles the violation kinds whose refinement rules are
-// shared across clients (the likely-unreachable-code invariant is
-// assumed — and so refutable — by all three).
+// refineShared handles the shared violation kinds. The second result
+// reports whether v was one of them.
 func refineShared(db *invariants.DB, v Violation) (bool, bool) {
-	if v.Kind == ViolationUnreachableBlock {
+	switch v.Kind {
+	case ViolationUnreachableBlock:
 		return db.MarkVisited(v.Site), true
+	case ViolationCalleeSet:
+		return db.WidenCallees(v.Site, v.Callee), true
 	}
 	return false, false
+}
+
+// baseFactKey renders the kind@site prefix every client's fact keys
+// share; a callee-set fact also names the callee (each out-of-set
+// callee widens the site by a distinct fact).
+func baseFactKey(v Violation) string {
+	k := string(v.Kind) + "@" + strconv.Itoa(v.Site)
+	if v.Kind == ViolationCalleeSet {
+		k += ">" + strconv.Itoa(v.Callee)
+	}
+	return k
 }
 
 // raceClient is the OptFT race-detection client (§4).
@@ -117,22 +130,10 @@ type raceClient struct{}
 func (raceClient) Name() string { return "race" }
 
 func (raceClient) Kinds() []ViolationKind {
-	return []ViolationKind{
-		ViolationUnreachableBlock,
-		ViolationSingletonSpawn,
-		ViolationGuardingLock,
-		ViolationElidedLockRace,
-	}
+	return append(sharedKinds, ViolationSingletonSpawn, ViolationGuardingLock, ViolationElidedLockRace)
 }
 
-func (raceClient) Refinable(k ViolationKind) bool {
-	switch k {
-	case ViolationUnreachableBlock, ViolationSingletonSpawn,
-		ViolationGuardingLock, ViolationElidedLockRace:
-		return true
-	}
-	return false
-}
+func (raceClient) Refinable(k ViolationKind) bool { return true }
 
 func (raceClient) Refine(db *invariants.DB, v Violation) bool {
 	if changed, ok := refineShared(db, v); ok {
@@ -157,30 +158,18 @@ type sliceClient struct{}
 func (sliceClient) Name() string { return "slice" }
 
 func (sliceClient) Kinds() []ViolationKind {
-	return []ViolationKind{
-		ViolationUnreachableBlock,
-		ViolationCalleeSet,
-		ViolationCallContext,
-		ViolationTraceLimit,
-	}
+	return append(sharedKinds, ViolationCallContext, ViolationTraceLimit)
 }
 
 func (sliceClient) Refinable(k ViolationKind) bool {
-	switch k {
-	case ViolationUnreachableBlock, ViolationCalleeSet, ViolationCallContext:
-		return true
-	}
-	return false // the trace limit carries no refutable fact
+	return k != ViolationTraceLimit // the trace limit carries no refutable fact
 }
 
 func (sliceClient) Refine(db *invariants.DB, v Violation) bool {
 	if changed, ok := refineShared(db, v); ok {
 		return changed
 	}
-	switch v.Kind {
-	case ViolationCalleeSet:
-		return db.WidenCallees(v.Site, v.Callee)
-	case ViolationCallContext:
+	if v.Kind == ViolationCallContext {
 		return db.AddContext(v.Path)
 	}
 	return false
@@ -189,10 +178,6 @@ func (sliceClient) Refine(db *invariants.DB, v Violation) bool {
 func (sliceClient) FactKey(v Violation) string {
 	var b strings.Builder
 	b.WriteString(baseFactKey(v))
-	if v.Kind == ViolationCalleeSet {
-		b.WriteByte('>')
-		b.WriteString(strconv.Itoa(v.Callee))
-	}
 	if v.Kind == ViolationCallContext {
 		for _, s := range v.Path {
 			b.WriteByte('/')
@@ -203,48 +188,29 @@ func (sliceClient) FactKey(v Violation) string {
 }
 
 // nullClient is the OptNull null/misuse-checking client. Its static
-// proof is predicated on likely-non-null loads, likely-unreachable
-// code, and (through the predicated points-to) likely callee sets, so
-// its checker verifies all three.
+// proof is predicated on likely-non-null loads beside the shared
+// invariants, so its checker verifies all three.
 type nullClient struct{}
 
 func (nullClient) Name() string { return "nullcheck" }
 
 func (nullClient) Kinds() []ViolationKind {
-	return []ViolationKind{
-		ViolationUnreachableBlock,
-		ViolationCalleeSet,
-		ViolationNonNull,
-	}
+	return append(sharedKinds, ViolationNonNull)
 }
 
-func (nullClient) Refinable(k ViolationKind) bool {
-	switch k {
-	case ViolationUnreachableBlock, ViolationCalleeSet, ViolationNonNull:
-		return true
-	}
-	return false
-}
+func (nullClient) Refinable(k ViolationKind) bool { return true }
 
 func (nullClient) Refine(db *invariants.DB, v Violation) bool {
 	if changed, ok := refineShared(db, v); ok {
 		return changed
 	}
-	switch v.Kind {
-	case ViolationCalleeSet:
-		return db.WidenCallees(v.Site, v.Callee)
-	case ViolationNonNull:
+	if v.Kind == ViolationNonNull {
 		return db.RetractNonNullLoad(v.Site)
 	}
 	return false
 }
 
-func (nullClient) FactKey(v Violation) string {
-	if v.Kind == ViolationCalleeSet {
-		return baseFactKey(v) + ">" + strconv.Itoa(v.Callee)
-	}
-	return baseFactKey(v)
-}
+func (nullClient) FactKey(v Violation) string { return baseFactKey(v) }
 
 func init() {
 	RegisterClient(raceClient{})

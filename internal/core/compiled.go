@@ -7,13 +7,14 @@ import (
 	"oha/internal/ir"
 )
 
-// compileOpts derives the speculative compile options for one image:
-// inline-cache seeds from the database's likely callee sets plus the
-// debug toggles carried by the static config. A nil db (sound images,
-// which assume no invariants) yields no seeds.
-func compileOpts(db *invariants.DB, cfg StaticConfig) interp.CompileOptions {
-	opts := interp.CompileOptions{DisableIC: cfg.NoIC, DisableFusion: cfg.NoFusion, DisableFastPath: cfg.NoFastPath}
-	if db == nil || cfg.NoIC {
+// CompileOptionsFor derives the compile options for one image from the
+// invariant database alone: inline-cache seeds from its likely callee
+// sets. A nil db (sound images, which assume no invariants) yields no
+// seeds. Fusion and the analysis fast paths are always on; only the
+// engine's own differential tests compile with them off.
+func CompileOptionsFor(db *invariants.DB) interp.CompileOptions {
+	var opts interp.CompileOptions
+	if db == nil {
 		return opts
 	}
 	var seeds map[int][]int
@@ -33,7 +34,7 @@ func compileOpts(db *invariants.DB, cfg StaticConfig) interp.CompileOptions {
 // compiledCode returns the (memoized) compiled image of prog under the
 // given instrumentation masks and speculative options. The image is
 // keyed by (program digest, config digest) where the config digest
-// covers the masks AND the IC seeds and fusion toggle — refining a
+// covers the masks AND the IC seeds — refining a
 // callee-set fact changes the seeds and therefore the key, so a stale
 // image can never be served for a refined database. With a nil cache
 // it simply compiles.

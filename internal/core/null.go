@@ -105,10 +105,6 @@ func newNullChecker(prog *ir.Program, db *invariants.DB, used *bitset.Set, abort
 		c.fact[id] = true
 		return true
 	})
-	// A database without callee sets assumes none, so nothing to check.
-	if db.Callees != nil {
-		c.watchCallees(db)
-	}
 	return c
 }
 
@@ -143,15 +139,6 @@ func (c *nullChecker) NilDeref(_ vc.TID, in *ir.Instr) {
 		c.Events++
 		c.violate(Violation{Kind: ViolationNonNull, Site: in.ID, Callee: -1})
 	}
-}
-
-// Call / Spawn fire the likely-callee-set check at indirect sites.
-func (c *nullChecker) Call(_ vc.TID, in *ir.Instr, callee *ir.Function, _, _ interp.FrameID) {
-	c.checkCallee(in, callee)
-}
-
-func (c *nullChecker) Spawn(_ vc.TID, in *ir.Instr, _ vc.TID, _ interp.FrameID, callee *ir.Function) {
-	c.checkCallee(in, callee)
 }
 
 // portableNullProof is the gob image of a nullcheck.Result (IDs only,
@@ -326,7 +313,7 @@ func NewHybridNullStatic(prog *ir.Program, cache *artifacts.Cache, cfg StaticCon
 		blockMask: make([]bool, len(prog.Blocks)),
 	}
 	// The sound image assumes no invariants: no IC seeds (nil db).
-	h.code = compiledCode(prog, interp.Masks{Mem: h.memMask, Sync: h.syncMask, Block: h.blockMask, Null: h.nullMask}, compileOpts(nil, cfg), cache)
+	h.code = compiledCode(prog, interp.Masks{Mem: h.memMask, Sync: h.syncMask, Block: h.blockMask, Null: h.nullMask}, CompileOptionsFor(nil), cache)
 	return h, nil
 }
 
@@ -395,7 +382,7 @@ func NewOptNullStatic(prog *ir.Program, db *invariants.DB, cache *artifacts.Cach
 	// The speculative image is IC-seeded from the likely callee sets
 	// (the null proof's points-to is predicated on them, and the
 	// checker verifies them at runtime).
-	o.code = compiledCode(prog, interp.Masks{Mem: o.memMask, Sync: o.syncMask, Block: o.blockMask, Null: o.nullMask}, compileOpts(db, cfg), cache)
+	o.code = compiledCode(prog, interp.Masks{Mem: o.memMask, Sync: o.syncMask, Block: o.blockMask, Null: o.nullMask}, CompileOptionsFor(db), cache)
 	return o, nil
 }
 

@@ -29,15 +29,13 @@ type RaceReport struct {
 	Outcome
 }
 
-// StaticConfig tunes how the static race pipeline is computed. The
-// zero value is the sequential from-scratch pipeline. Results are
-// digest-identical for every configuration, so Workers/Incremental are
-// deliberately NOT part of the static artifact cache keys: a result
-// solved with 8 workers serves a sequential consumer, and vice versa.
-// The NoIC/NoFusion engine toggles, by contrast, change the compiled
-// image and ARE part of the compiled-image key (interp.Code's config
-// digest) — though never the analysis results, which stay bit-
-// identical under every setting.
+// StaticConfig tunes how the static pipelines are computed. The zero
+// value is the sequential from-scratch pipeline. Results are
+// digest-identical for every configuration, so neither field is part
+// of any artifact cache key: a result solved with 8 workers serves a
+// sequential consumer, and vice versa. How a speculative run is
+// checked and compiled is decided by the invariant database and the
+// static result alone, never by this config.
 type StaticConfig struct {
 	// Workers bounds the parallel points-to and race-pair solvers
 	// (0 = GOMAXPROCS, 1 = sequential).
@@ -48,17 +46,6 @@ type StaticConfig struct {
 	// cached constructors here only compute from scratch — but travels
 	// with the config so callers thread one value.
 	Incremental bool
-	// NoIC disables speculative inline caches at indirect call sites
-	// (cmd/oha -ic=off). Observable behavior is unchanged either way.
-	NoIC bool
-	// NoFusion disables superinstruction fusion in compiled images
-	// (cmd/oha -fusion=off). Observable behavior is unchanged.
-	NoFusion bool
-	// NoFastPath disables the engine's inline tracer fast paths
-	// (cmd/oha -fastpath=off). Like NoIC/NoFusion it changes the
-	// compiled image and is part of the image key, but never the
-	// analysis results.
-	NoFastPath bool
 }
 
 // raceStatic bundles one static race analysis with the masks it
@@ -120,67 +107,22 @@ func mhpOf(prog *ir.Program, pt *pointsto.Result, db *invariants.DB, cache *arti
 	return v.(*mhp.Result), nil
 }
 
-// ftAdapter forwards events to a FastTrack detector, filtering sync
-// events down to the sites FastTrack actually instruments (the
-// interpreter's SyncMask is the union of FastTrack's sites and the
-// invariant checks' sites).
-type ftAdapter struct {
-	interp.NopTracer
-	det  *fasttrack.Detector
-	sync []bool // nil: all
-}
-
-// FastState implements interp.FastTracer by exposing the underlying
-// detector's shadow state: the adapter forwards Load/Store to the
-// detector one-to-one (only sync events are filtered), so the
-// engine's inline memory fast path is exactly as sound here as on the
-// bare detector.
-func (a *ftAdapter) FastState() *interp.FastState { return a.det.FastState() }
-
-// FlushMem implements interp.FastTracer (see FastState).
-func (a *ftAdapter) FlushMem(evs []interp.MemEvent) { a.det.FlushMem(evs) }
-
-func (a *ftAdapter) Load(t vc.TID, in *ir.Instr, addr interp.Addr, v int64) {
-	a.det.Load(t, in, addr, v)
-}
-
-func (a *ftAdapter) Store(t vc.TID, in *ir.Instr, addr interp.Addr, v int64) {
-	a.det.Store(t, in, addr, v)
-}
-
-func (a *ftAdapter) Lock(t vc.TID, in *ir.Instr, addr interp.Addr) {
-	if a.sync == nil || a.sync[in.ID] {
-		a.det.Lock(t, in, addr)
-	}
-}
-
-func (a *ftAdapter) Unlock(t vc.TID, in *ir.Instr, addr interp.Addr) {
-	if a.sync == nil || a.sync[in.ID] {
-		a.det.Unlock(t, in, addr)
-	}
-}
-
-func (a *ftAdapter) Spawn(t vc.TID, in *ir.Instr, c vc.TID, f interp.FrameID, fn *ir.Function) {
-	a.det.Spawn(t, in, c, f, fn)
-}
-
-func (a *ftAdapter) Join(t vc.TID, in *ir.Instr, c vc.TID) {
-	a.det.Join(t, in, c)
-}
-
-// optTracer is the speculative run's combined tracer: FastTrack plus
-// the invariant checker, fused into one dispatch so the optimistic
-// configuration pays no fan-out overhead over the hybrid one.
+// optTracer is OptFT's tracer: FastTrack plus the invariant checker,
+// fused into one dispatch so the optimistic configuration pays no
+// fan-out overhead over the hybrid one. FastTrack sees sync events
+// only at its own sites (the interpreter's SyncMask is the union of
+// FastTrack's sites and the checks' sites). A nil checker is the
+// custom-sync validation run, which wants raw FastTrack reports.
 type optTracer struct {
 	interp.NopTracer
 	det     *fasttrack.Detector
 	checker *raceChecker
-	sync    []bool // FastTrack's sync sites (checker sees the rest)
+	sync    []bool // FastTrack's sync sites
 }
 
 // FastState implements interp.FastTracer. Memory events route only to
-// the detector (the invariant checker consumes sync/block events, and
-// those always drain the ring before delivery), so exposing the
+// the detector (the invariant checker consumes sync/call/block events,
+// and those always drain the ring before delivery), so exposing the
 // detector's shadow state — batching included — preserves the exact
 // event order both consumers observe.
 func (o *optTracer) FastState() *interp.FastState { return o.det.FastState() }
@@ -197,21 +139,31 @@ func (o *optTracer) Store(t vc.TID, in *ir.Instr, addr interp.Addr, v int64) {
 }
 
 func (o *optTracer) Lock(t vc.TID, in *ir.Instr, addr interp.Addr) {
-	if o.sync == nil || o.sync[in.ID] {
+	if o.sync[in.ID] {
 		o.det.Lock(t, in, addr)
 	}
-	o.checker.Lock(t, in, addr)
+	if o.checker != nil {
+		o.checker.Lock(t, in, addr)
+	}
 }
 
 func (o *optTracer) Unlock(t vc.TID, in *ir.Instr, addr interp.Addr) {
-	if o.sync == nil || o.sync[in.ID] {
+	if o.sync[in.ID] {
 		o.det.Unlock(t, in, addr)
+	}
+}
+
+func (o *optTracer) Call(t vc.TID, in *ir.Instr, callee *ir.Function, cr, ce interp.FrameID) {
+	if o.checker != nil {
+		o.checker.Call(t, in, callee, cr, ce)
 	}
 }
 
 func (o *optTracer) Spawn(t vc.TID, in *ir.Instr, c vc.TID, f interp.FrameID, fn *ir.Function) {
 	o.det.Spawn(t, in, c, f, fn)
-	o.checker.Spawn(t, in, c, f, fn)
+	if o.checker != nil {
+		o.checker.Spawn(t, in, c, f, fn)
+	}
 }
 
 func (o *optTracer) Join(t vc.TID, in *ir.Instr, c vc.TID) {
@@ -219,7 +171,9 @@ func (o *optTracer) Join(t vc.TID, in *ir.Instr, c vc.TID) {
 }
 
 func (o *optTracer) BlockEnter(t vc.TID, b *ir.Block) {
-	o.checker.BlockEnter(t, b)
+	if o.checker != nil {
+		o.checker.BlockEnter(t, b)
+	}
 }
 
 func raceReport(det *fasttrack.Detector, res *interp.Result) *RaceReport {
@@ -274,7 +228,7 @@ func NewHybridFTStatic(prog *ir.Program, cache *artifacts.Cache, cfg StaticConfi
 	h := &HybridFT{Prog: prog, Static: rs.static, rs: rs}
 	h.blockMask = make([]bool, len(prog.Blocks))
 	// The sound image assumes no invariants: no IC seeds (nil db).
-	h.code = compiledCode(prog, interp.Masks{Mem: rs.mem, Sync: rs.sync, Block: h.blockMask}, compileOpts(nil, cfg), cache)
+	h.code = compiledCode(prog, interp.Masks{Mem: rs.mem, Sync: rs.sync, Block: h.blockMask}, CompileOptionsFor(nil), cache)
 	return h, nil
 }
 
@@ -317,7 +271,6 @@ type OptFT struct {
 	// and no checks). setElidable mutates the masks in place, so both
 	// images are re-derived there.
 	cache        *artifacts.Cache
-	static       StaticConfig
 	code         *interp.Code
 	valCode      *interp.Code
 	valBlockMask []bool
@@ -353,7 +306,6 @@ func NewOptFTStatic(prog *ir.Program, db *invariants.DB, cache *artifacts.Cache,
 		o.syncMask[pair.B] = true
 	}
 	o.cache = cache
-	o.static = cfg
 	o.valBlockMask = make([]bool, len(prog.Blocks))
 	o.recompile()
 	return o, nil
@@ -363,10 +315,10 @@ func NewOptFTStatic(prog *ir.Program, db *invariants.DB, cache *artifacts.Cache,
 // Both speculative images (the checked run and the validation run) are
 // IC-seeded from the database's likely callee sets: an inline cache is
 // semantically transparent (a miss just resolves generically), so
-// seeding needs no checker support — the callee-set violation itself
-// is raised by the tracer, which both images already drive.
+// seeding needs no checker support — the checked run's callee-set
+// violation is raised by the checker on the Call event either way.
 func (o *OptFT) recompile() {
-	opts := compileOpts(o.DB, o.static)
+	opts := CompileOptionsFor(o.DB)
 	o.code = compiledCode(o.Prog, interp.Masks{Mem: o.pred.mem, Sync: o.syncMask, Block: o.blockMask}, opts, o.cache)
 	o.valCode = compiledCode(o.Prog, interp.Masks{Mem: o.pred.mem, Sync: o.pred.sync, Block: o.valBlockMask}, opts, o.cache)
 }
@@ -487,7 +439,7 @@ func (o *OptFT) runWithoutRollback(e Execution, opts RunOptions) (*RaceReport, e
 	det := fasttrack.New()
 	res, err := execute(interp.Config{
 		Prog:      o.Prog,
-		Tracer:    &ftAdapter{det: det, sync: o.pred.sync},
+		Tracer:    &optTracer{det: det, sync: o.pred.sync},
 		MemMask:   o.pred.mem,
 		SyncMask:  o.pred.sync,
 		BlockMask: o.valBlockMask,

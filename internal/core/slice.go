@@ -142,9 +142,12 @@ func (c sliceStaticCodec) Unmarshal(data []byte) (any, error) {
 }
 
 // staticSliceFor returns the (memoized) static slice and analysis type
-// for one criterion under the buildSlicer discipline.
+// for one criterion under the buildSlicer discipline. The "flow:once"
+// discriminator keeps disk-tier slices computed before the slicer
+// limited its flow-sensitive store filter to single-activation
+// functions (they could miss stores) from being served.
 func staticSliceFor(prog *ir.Program, db *invariants.DB, criterion *ir.Instr, budget int, cache *artifacts.Cache) (*sliceStatic, error) {
-	key := artifacts.Key(artifacts.KindSlice, prog, db, budget, "restrict", "crit:"+strconv.Itoa(criterion.ID))
+	key := artifacts.Key(artifacts.KindSlice, prog, db, budget, "restrict", "flow:once", "crit:"+strconv.Itoa(criterion.ID))
 	v, err := cache.Memo(key, sliceStaticCodec{prog: prog}, func() (any, error) {
 		sl, at, err := buildSlicerCached(prog, db, budget, cache)
 		if err != nil {
@@ -187,8 +190,9 @@ type HybridSlicer struct {
 
 // NewHybridSlicerStatic runs the sound static slicer (CS if it fits
 // budget, else CI) for one criterion, memoizing static artifacts in
-// cache (nil: recompute).
-func NewHybridSlicerStatic(prog *ir.Program, criterion *ir.Instr, budget int, cache *artifacts.Cache, cfg StaticConfig) (*HybridSlicer, error) {
+// cache (nil: recompute). The slicing pipeline is sequential, so the
+// StaticConfig the constructors share is not consulted.
+func NewHybridSlicerStatic(prog *ir.Program, criterion *ir.Instr, budget int, cache *artifacts.Cache, _ StaticConfig) (*HybridSlicer, error) {
 	ss, err := staticSliceFor(prog, nil, criterion, budget, cache)
 	if err != nil {
 		return nil, err
@@ -202,7 +206,7 @@ func NewHybridSlicerStatic(prog *ir.Program, criterion *ir.Instr, budget int, ca
 		blockMask: make([]bool, len(prog.Blocks)),
 	}
 	// The sound image assumes no invariants: no IC seeds (nil db).
-	h.code = compiledCode(prog, interp.Masks{Exec: h.execMask, Block: h.blockMask}, compileOpts(nil, cfg), cache)
+	h.code = compiledCode(prog, interp.Masks{Exec: h.execMask, Block: h.blockMask}, CompileOptionsFor(nil), cache)
 	return h, nil
 }
 
@@ -264,10 +268,6 @@ type OptSlice struct {
 	blockMask []bool
 	code      *interp.Code
 	checkCtx  bool
-	// NoBloom disables the Bloom-filter fast path of the call-context
-	// check (exact set inclusion only) — ablation of the paper's
-	// §5.2.3 optimization.
-	NoBloom bool
 }
 
 // NewOptSliceCached is NewOptSliceStatic with the sequential static
@@ -310,7 +310,7 @@ func NewOptSliceStatic(prog *ir.Program, db *invariants.DB, criterion *ir.Instr,
 	// target is a callee the tracer's checker accepts, and an
 	// out-of-set target both misses the cache and raises the
 	// callee-set violation that drives refinement.
-	o.code = compiledCode(prog, interp.Masks{Exec: o.execMask, Block: o.blockMask}, compileOpts(db, cfg), cache)
+	o.code = compiledCode(prog, interp.Masks{Exec: o.execMask, Block: o.blockMask}, CompileOptionsFor(db), cache)
 	return o, nil
 }
 
@@ -325,9 +325,6 @@ func (o *OptSlice) Run(e Execution, opts RunOptions) (*SliceReport, error) {
 	abort := &interp.Abort{}
 	tr := dynslice.New(o.Prog, abort)
 	ck := newSliceChecker(o.Prog, o.DB, o.checkCtx, abort)
-	if o.NoBloom {
-		ck.ctxBloom = nil
-	}
 	return speculation[*SliceReport]{
 		client: sliceClient{},
 		cfg: interp.Config{

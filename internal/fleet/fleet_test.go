@@ -13,7 +13,9 @@ import (
 	"testing"
 	"time"
 
+	"oha/internal/core"
 	"oha/internal/server"
+	"oha/internal/workloads"
 )
 
 // fleetSrc is a small racy program with prints (so profile, race, and
@@ -453,5 +455,60 @@ func TestFleetGlobalShed(t *testing.T) {
 	}
 	if !shed {
 		t.Fatal("fleet never shed despite both replicas being saturated")
+	}
+}
+
+// TestFleetRelayKeepsLargeIntegers: a job result relayed by a fleet
+// node keeps every value byte for byte. Only the job id is rewritten;
+// a program output above 2^53 must not come back rounded, whichever
+// node accepted the job and whichever node is polled.
+func TestFleetRelayKeepsLargeIntegers(t *testing.T) {
+	w := workloads.ByName("dispatch-mono")
+	e := core.Execution{Inputs: []int64{0, 63, 17}, Seed: 1}
+	res, err := core.RunPlain(w.Prog(), e, core.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, v := range res.Output {
+		if v > 1<<53 || v < -(1<<53) {
+			want = append(want, strconv.FormatInt(v, 10))
+		}
+	}
+	if len(want) != len(res.Output) {
+		t.Fatalf("output %v: want every value beyond float64's exact integers", res.Output)
+	}
+
+	fleet := newTestFleet(t, 2, server.Config{Workers: 1, QueueSize: 8, JobTimeout: 30 * time.Second})
+	id := client(t, fleet[0]).submitProgram(w.Source)
+	for _, submit := range fleet {
+		status, jobID := client(t, submit).submitJob(map[string]any{
+			"kind": "race", "program_id": id, "inputs": e.Inputs, "seed": e.Seed, "baseline": true,
+		})
+		if status != http.StatusAccepted {
+			t.Fatalf("submit via %s: status %d", submit.addr, status)
+		}
+		client(t, submit).awaitDone(jobID)
+		for _, poll := range fleet {
+			resp, err := http.Get("http://" + poll.addr + "/v1/jobs/" + jobID + "/result")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var env struct {
+				Result struct {
+					Output []json.Number `json:"output"`
+				} `json:"result"`
+			}
+			dec := json.NewDecoder(resp.Body)
+			dec.UseNumber()
+			err = dec.Decode(&env)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprint(env.Result.Output); got != fmt.Sprint(want) {
+				t.Errorf("job %s submitted via %s, polled via %s: output %s, want %s", jobID, submit.addr, poll.addr, got, want)
+			}
+		}
 	}
 }

@@ -279,13 +279,15 @@ func (r *respBuffer) Write(b []byte) (int, error) { return r.buf.Write(b) }
 func (r *respBuffer) flushTo(w http.ResponseWriter) {
 	body := r.buf.Bytes()
 	if r.rewrite != nil && r.status < 300 && len(body) > 0 {
-		var m map[string]any
-		if err := json.Unmarshal(body, &m); err == nil {
-			if id, ok := m["id"].(string); ok {
-				m["id"] = r.rewrite(id)
-				if out, err := json.MarshalIndent(m, "", "  "); err == nil {
-					body = append(out, '\n')
-				}
+		// Only "id" is decoded and re-encoded; every other value is
+		// copied verbatim (a generic decode would round integers above
+		// 2^53 through float64).
+		var m map[string]json.RawMessage
+		var id *string // nil: no string id (absent or null)
+		if json.Unmarshal(body, &m) == nil && json.Unmarshal(m["id"], &id) == nil && id != nil {
+			m["id"], _ = json.Marshal(r.rewrite(*id)) // a string always encodes
+			if out, err := json.MarshalIndent(m, "", "  "); err == nil {
+				body = append(out, '\n')
 			}
 		}
 	}

@@ -373,10 +373,6 @@ func (c *Code) ICSites() int { return c.numICs }
 // pass baked into this image.
 func (c *Code) FusedInstrs() int { return c.fused }
 
-// NoFastPath reports whether this image was compiled with the inline
-// tracer fast paths disabled (CompileOptions.DisableFastPath).
-func (c *Code) NoFastPath() bool { return c.noFast }
-
 // icMaxEntries bounds inline-cache polymorphism: sites whose likely
 // callee set is larger stay generic (a megamorphic cache would scan
 // more entries than the generic decode path costs).

@@ -33,7 +33,6 @@ import (
 	"strings"
 
 	"oha/internal/bitset"
-	"oha/internal/bloom"
 )
 
 // LockPair is an unordered pair of lock-site instruction IDs profiled
@@ -521,21 +520,11 @@ func HashExtend(h uint64, site int) uint64 {
 	return h
 }
 
-// Bloom builds a Bloom filter over the context hashes, used to make
-// the likely-unused-call-context runtime check cheap (§5.2.3).
-func (cs *ContextSet) Bloom(fpRate float64) *bloom.Filter {
-	f := bloom.New(len(cs.set)+1, fpRate)
-	for _, p := range cs.set {
-		f.Add(HashContext(p))
-	}
-	return f
-}
-
 // HashSet returns the 64-bit hashes of every observed context. The
 // runtime check tests membership by hash (maintained incrementally per
-// frame), with the Bloom filter as a cache-friendly prefilter; a
-// 64-bit hash collision could in principle mask a violation, the usual
-// "soundy" engineering trade also present in the paper's Bloom scheme.
+// frame) with one exact set probe; a 64-bit hash collision could in
+// principle mask a violation, the usual "soundy" engineering trade
+// also present in the paper's Bloom scheme (§5.2.3).
 func (cs *ContextSet) HashSet() map[uint64]bool {
 	out := make(map[uint64]bool, len(cs.set))
 	for _, p := range cs.set {

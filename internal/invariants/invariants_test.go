@@ -234,16 +234,3 @@ func TestContextHashIncremental(t *testing.T) {
 		t.Error("hash order-insensitive")
 	}
 }
-
-func TestContextBloom(t *testing.T) {
-	cs := NewContextSet()
-	cs.Add([]int{1})
-	cs.Add([]int{1, 5})
-	cs.Add(nil)
-	f := cs.Bloom(0.01)
-	for _, p := range cs.SortedPaths() {
-		if !f.MayContain(HashContext(p)) {
-			t.Errorf("bloom lost context %v", p)
-		}
-	}
-}

@@ -17,8 +17,11 @@
 package ir
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // Pos is a source position (1-based line and column).
@@ -350,11 +353,44 @@ type Program struct {
 
 	Instrs []*Instr // all instructions, indexed by Instr.ID
 	Blocks []*Block // all blocks, indexed by Block.ID
+
+	// derived holds facts computed from the finalized program on first
+	// use. They live (and are freed) with the program; Finalize drops
+	// them. Set by NewProgram, so build programs with it.
+	derived *derivedFacts
+}
+
+// derivedFacts are pure functions of a finalized program.
+type derivedFacts struct {
+	digestOnce sync.Once
+	digest     string
+	reachOnce  sync.Once
+	reach      *Reach
 }
 
 // NewProgram returns an empty program.
 func NewProgram() *Program {
-	return &Program{FuncByName: map[string]*Function{}}
+	return &Program{FuncByName: map[string]*Function{}, derived: &derivedFacts{}}
+}
+
+// Digest returns the SHA-256 (hex) of the program's printed IR — its
+// content identity for artifact keys and compiled images. Memoized
+// until the next Finalize.
+func (p *Program) Digest() string {
+	f := p.derived
+	f.digestOnce.Do(func() {
+		sum := sha256.Sum256([]byte(p.String()))
+		f.digest = hex.EncodeToString(sum[:])
+	})
+	return f.digest
+}
+
+// Reach returns the program's intra-procedural reachability
+// (ComputeReach), memoized until the next Finalize.
+func (p *Program) Reach() *Reach {
+	f := p.derived
+	f.reachOnce.Do(func() { f.reach = ComputeReach(p) })
+	return f.reach
 }
 
 // AddFunc registers a function in the program.
@@ -378,6 +414,7 @@ func (p *Program) Main() *Function { return p.FuncByName["main"] }
 // before any analysis uses the program, and again after any pass that
 // mutates the CFG.
 func (p *Program) Finalize() {
+	p.derived = &derivedFacts{}
 	p.Instrs = p.Instrs[:0]
 	p.Blocks = p.Blocks[:0]
 	for _, f := range p.Funcs {

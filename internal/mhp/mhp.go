@@ -21,7 +21,6 @@ package mhp
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"oha/internal/bitset"
 	"oha/internal/invariants"
@@ -29,26 +28,18 @@ import (
 	"oha/internal/pointsto"
 )
 
-// progCFG caches the reachability and main-dominator structures per
-// program: both are pure functions of the immutable CFG, and the
-// adaptive refinement loop re-analyzes the same program once per
-// generation, so recomputing them every Analyze is pure waste.
+// progCFG holds the CFG structures the analysis reads: the program's
+// (memoized) reachability, main's dominators, and joins[spawn instr ID]
+// = main's joins that certainly wait for that spawn's thread.
 type progCFG struct {
 	reach   *ir.Reach
 	mainDom []*bitset.Set
-	// joins[spawn instr ID] = main's joins that certainly wait for that
-	// spawn's thread (matchingJoins is likewise a pure CFG function).
-	joins map[int][]*ir.Instr
+	joins   map[int][]*ir.Instr
 }
 
-var cfgCache sync.Map // *ir.Program -> *progCFG
-
-func cachedCFG(prog *ir.Program) *progCFG {
-	if c, ok := cfgCache.Load(prog); ok {
-		return c.(*progCFG)
-	}
+func cfgOf(prog *ir.Program) *progCFG {
 	c := &progCFG{
-		reach:   ir.ComputeReach(prog),
+		reach:   prog.Reach(),
 		mainDom: ir.Dominators(prog.Main()),
 		joins:   map[int][]*ir.Instr{},
 	}
@@ -59,8 +50,7 @@ func cachedCFG(prog *ir.Program) *progCFG {
 			}
 		}
 	}
-	actual, _ := cfgCache.LoadOrStore(prog, c)
-	return actual.(*progCFG)
+	return c
 }
 
 // rootMain is the root id of the main thread; spawn-site roots follow.
@@ -96,7 +86,7 @@ type forkJoin struct {
 // assumes the likely singleton-thread invariant.
 func Analyze(prog *ir.Program, pt *pointsto.Result, db *invariants.DB) *Result {
 	r := &Result{prog: prog}
-	cfg := cachedCFG(prog)
+	cfg := cfgOf(prog)
 	reach := cfg.reach
 
 	// Roots: main + each analyzed spawn site.

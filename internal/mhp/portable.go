@@ -86,7 +86,7 @@ func DecodeResult(prog *ir.Program, data []byte) (*Result, error) {
 		}
 		return in, nil
 	}
-	cfg := cachedCFG(prog)
+	cfg := cfgOf(prog)
 	r := &Result{
 		prog:     prog,
 		multi:    w.Multi,

@@ -86,34 +86,6 @@ func TestServerICMetricsWarmJob(t *testing.T) {
 	}
 }
 
-// TestServerPlainSliceHonorsStaticConfig: a plain (non-adaptive) slice
-// job must build its slicer under the daemon's static configuration.
-// The job's rollback re-execution is the sound hybrid slicer, the only
-// slicing run that arms the engine's fast path; a fast-path-armed run
-// counts every delivered event as hit or slow. Under NoFastPath
-// nothing is armed, so both slice counters stay at 0.
-func TestServerPlainSliceHonorsStaticConfig(t *testing.T) {
-	_, c := newTestServer(t, Config{Workers: 1, QueueSize: 8, JobTimeout: 30 * time.Second, NoFastPath: true})
-	id := c.submitProgram(adaptSrc)
-	_, profID := c.submitJob(JobRequest{
-		Kind: "profile", ProgramID: id, Inputs: []int64{5}, Runs: 8, SaveAs: "slice-static",
-	})
-	c.awaitDone(profID)
-
-	_, sliceID := c.submitJob(JobRequest{
-		Kind: "slice", ProgramID: id, Inputs: []int64{500}, InvariantsID: "slice-static",
-	})
-	if res := c.awaitDone(sliceID); !res["rolled_back"].(bool) {
-		t.Fatalf("slice job did not roll back: %v", res)
-	}
-	_, mx := c.text("/metrics")
-	for _, name := range []string{"oha_trace_fastpath_hits_total", "oha_trace_fastpath_slow_total"} {
-		if v := metricValue(t, mx, name+`{client="slice"}`); v != 0 {
-			t.Fatalf("NoFastPath daemon armed the slice fast path: %s = %v", name, v)
-		}
-	}
-}
-
 // TestServerFastPathMetricsClientLabel: the fast-path counters label a
 // nullcheck job with the client's registered name, the label every
 // other per-client family uses.

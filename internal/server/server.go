@@ -84,10 +84,6 @@ type Config struct {
 	// generation's saturated solver state instead of re-solving from
 	// scratch.
 	Incremental bool
-	// NoFastPath disables the compiled engine's inline analysis fast
-	// paths for every job (a debugging/ablation toggle — results are
-	// identical either way, only tracing speed changes).
-	NoFastPath bool
 	// Programs overrides the program state tier (nil: an in-process
 	// ProgramStore). A fleet node plugs in a digest-routed remote tier
 	// here, turning the daemon into a stateless frontend.
@@ -187,7 +183,7 @@ func New(cfg Config) (*Server, error) {
 		reg:      metrics.NewRegistry(),
 		mux:      http.NewServeMux(),
 		adapters: map[adaptKey]*adapt.Manager{},
-		static:   core.StaticConfig{Workers: cfg.StaticWorkers, Incremental: cfg.Incremental, NoFastPath: cfg.NoFastPath},
+		static:   core.StaticConfig{Workers: cfg.StaticWorkers, Incremental: cfg.Incremental},
 	}
 	s.adaptMetrics = adapt.NewMetrics(s.reg)
 	s.incMetrics = inc.NewMetrics(s.reg)

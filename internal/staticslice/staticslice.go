@@ -8,8 +8,12 @@
 //   - register uses depend on the reaching definitions of the register
 //     (restricted flow-sensitively to defs that may precede the use);
 //   - loads additionally depend on aliasing stores (via the points-to
-//     analysis), again restricted to stores in blocks that may precede
-//     the load when both are in the same function;
+//     analysis), restricted to stores in blocks that may precede the
+//     load only within a function that has one activation per
+//     execution (main, when nothing calls or spawns it): memory, unlike
+//     a register, carries a store of one activation to a load of the
+//     next, so a loop-called or multi-threaded function gets no such
+//     filter;
 //   - parameters depend on the call/spawn sites that bind them, and
 //     call results depend on the callee's return instructions —
 //     context-sensitively when the points-to result was computed over
@@ -52,6 +56,10 @@ type Slicer struct {
 	prog  *ir.Program
 	pt    *pointsto.Result
 	reach *ir.Reach
+	// once is the one function with a single activation per execution
+	// (main, unless a call or spawn targets it; nil then), the only one
+	// whose intra-procedural order also orders its memory accesses.
+	once *ir.Function
 
 	// defs[fnID][varID] = defining instructions of that register.
 	defs map[int]map[int][]*ir.Instr
@@ -76,7 +84,7 @@ func New(pt *pointsto.Result) *Slicer {
 	s := &Slicer{
 		prog:      pt.Prog,
 		pt:        pt,
-		reach:     ir.ComputeReach(pt.Prog),
+		reach:     pt.Prog.Reach(),
 		defs:      map[int]map[int][]*ir.Instr{},
 		callersOf: map[ctxs.ID][]pointsto.CallEdge{},
 		retsOf:    map[int][]*ir.Instr{},
@@ -100,8 +108,12 @@ func New(pt *pointsto.Result) *Slicer {
 			s.retsOf[fn.ID] = append(s.retsOf[fn.ID], in)
 		}
 	}
+	s.once = pt.Prog.Main()
 	for _, e := range pt.CallEdges() {
 		s.callersOf[e.Callee] = append(s.callersOf[e.Callee], e)
+		if pt.Tree.FnOf(e.Callee) == s.once {
+			s.once = nil
+		}
 	}
 	return s
 }
@@ -158,7 +170,7 @@ func (s *Slicer) deps(n node, push func(node)) {
 			if !st.addr.Intersects(lp) {
 				continue
 			}
-			if st.in.Block.Fn == fn && st.ctx == c && !s.reach.MayPrecede(st.in, in) {
+			if fn == s.once && st.in.Block.Fn == fn && !s.reach.MayPrecede(st.in, in) {
 				continue // flow-sensitive: the store cannot precede the load
 			}
 			push(node{ctx: st.ctx, in: st.in})

@@ -177,12 +177,12 @@ func ProfileCached(prog *Program, gen func(run int) Execution, maxRuns int, cach
 }
 
 // StaticConfig tunes the static-analysis pipeline: the parallel solver
-// worker count (0 = GOMAXPROCS, 1 = sequential), whether adaptive
+// worker count (0 = GOMAXPROCS, 1 = sequential) and whether adaptive
 // re-analysis may resume incrementally from the previous generation's
-// saturated solver state, and the compiled engine's speculative
-// dispatch lowerings (NoIC disables inline-cache seeding, NoFusion
-// disables superinstruction fusion). Every configuration produces
-// digest-identical results; only latency changes.
+// saturated solver state. Every configuration produces digest-identical
+// results; only latency changes. How a speculative run is checked and
+// compiled follows from the invariant database and the static result
+// alone.
 type StaticConfig = core.StaticConfig
 
 // ICStats counts the compiled engine's speculative-dispatch events
